@@ -10,9 +10,9 @@ observability layer, the membership substrate, the
 :class:`~repro.net.message.Group` of its servers, and one gRPC composite
 per participating node (servers additionally carry the application
 dispatcher).  A node may participate in any number of services, each
-with a *different* micro-protocol stack; arrivals are demultiplexed to
-the right composite by the service key every transmission carries
-(:class:`~repro.xkernel.demux.ServiceDemux`).
+with a *different* micro-protocol stack; arrivals are dispatched to the
+right composite by the service key every transmission carries, through
+the node's :class:`~repro.xkernel.demux.DispatchTable`.
 
 Layout conventions are inherited from the single-service days: server
 process ids live below :data:`CLIENT_BASE_PID` (so the Total Order
@@ -72,7 +72,7 @@ from repro.net import (
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
 from repro.stubs.binding import BindingRegistry
-from repro.xkernel import ServiceDemux, TypeDemux, compose_stack
+from repro.xkernel import compose_stack
 
 __all__ = ["Deployment", "Service", "CLIENT_BASE_PID"]
 
@@ -235,9 +235,6 @@ class Deployment:
         self._call_instruments: Dict[str, tuple] = {}
         self._reply_cache_capacity = reply_cache
         self.nodes: Dict[int, Node] = {}
-        self.demuxes: Dict[int, TypeDemux] = {}
-        #: Per-node service router (NetMsg service key -> composite).
-        self.routers: Dict[int, ServiceDemux] = {}
 
         if membership not in (None, "oracle", "heartbeat"):
             raise ReproError(f"unknown membership mode {membership!r}")
@@ -374,22 +371,15 @@ class Deployment:
         return pids
 
     def _ensure_node(self, pid: int) -> Node:
-        """The node for ``pid``, building its shared substrate once:
-        transport at the bottom, type demux above it, service router for
-        the gRPC traffic."""
+        """The node for ``pid``, building its transport (and with it the
+        node's dispatch table, which the composites attach to) once."""
         node = self.nodes.get(pid)
         if node is not None:
             return node
         node = Node(pid, self.runtime, self.fabric)
-        demux = TypeDemux(f"demux@{pid}")
-        router = ServiceDemux(f"services@{pid}")
-        transport = UnreliableTransport(node)
-        compose_stack(demux, transport)
-        demux.attach(NetMsg, router)
+        UnreliableTransport(node)
         node.start()
         self.nodes[pid] = node
-        self.demuxes[pid] = demux
-        self.routers[pid] = router
         return node
 
     def _build_composite(self, svc: Service, pid: int,
@@ -400,15 +390,16 @@ class Deployment:
         grpc.add(*svc.spec.build())
         if svc.call_log is not None:
             grpc.add(CallObserver(svc.call_log))
-        self.routers[pid].attach(svc.name, grpc)
+        transport = node.transport
+        transport.table.attach(NetMsg, grpc, svc.name)
+        grpc.lower = transport
         if app is not None:
             dispatcher = ServerDispatcher(
                 node, app, service=svc.name, metrics=self.metrics,
                 # keep_trace=False marks a long/perf run: don't retain
                 # per-request history anywhere, the execution log included.
                 keep_log=self.fabric.trace.keep_events)
-            compose_stack(dispatcher, grpc)  # only links this pair;
-            # grpc.lower stays routed through the service demux.
+            compose_stack(dispatcher, grpc)
             svc.dispatchers[pid] = dispatcher
             svc.apps[pid] = app
         svc.grpcs[pid] = grpc
@@ -427,8 +418,8 @@ class Deployment:
             everyone = sorted(self.nodes)
             for detector in self._membership.detectors.values():
                 detector.add_peers(everyone)
-            for pid, grpc in svc.grpcs.items():
-                self._membership.attach(grpc, self.demuxes[pid], everyone)
+            for grpc in svc.grpcs.values():
+                self._membership.attach(grpc, everyone)
             self._membership.start_all()
 
     # ------------------------------------------------------------------

@@ -54,6 +54,7 @@ from repro.errors import ConfigurationError, NodeDown
 from repro.obs.recorder import CTX_KEY as OBS_CTX
 from repro.net.message import Group, ProcessId
 from repro.net.node import Node
+from repro.runtime.base import deferred
 
 __all__ = [
     "GroupRPC",
@@ -99,8 +100,8 @@ class GroupRPC(CompositeProtocol):
         self.node = node
         self.my_id: ProcessId = node.pid
         #: Name of the deployment service this composite implements.
-        #: Stamped into every transmitted wire message (the demux key for
-        #: nodes hosting several composites) and onto every span this
+        #: Stamped into every transmitted wire message (the dispatch key
+        #: for nodes hosting several composites) and onto every span this
         #: composite emits; ``""`` for standalone composites.
         self.service = service
 
@@ -225,9 +226,10 @@ class GroupRPC(CompositeProtocol):
     async def pop(self, payload: Any, sender: ProcessId) -> None:
         """A message arrived from the transport below.
 
-        Each arrival runs in its own task (spawned by the node's receive
-        loop), so a chain blocked on ``serial`` or an ordering gate does
-        not stall later arrivals — the paper's execution model.
+        Each arrival runs in its own task (started by the node as the
+        fabric delivers it), so a chain blocked on ``serial`` or an
+        ordering gate does not stall later arrivals — the paper's
+        execution model.
         """
         if not isinstance(payload, NetMsg):
             return
@@ -260,8 +262,9 @@ class GroupRPC(CompositeProtocol):
         This is the paper's ``Net.push``; ``dest`` may be a process id, a
         :class:`~repro.net.message.Group`, or an iterable of process ids.
         Every transmission is stamped with this composite's service name
-        so the receiving node's service demux can deliver it to the
-        composite configured for the same service.
+        so the receiving node's dispatch table can deliver it to the
+        composite configured for the same service.  ``lower`` is the
+        node's transport itself: nothing sits between the two.
         """
         if self.lower is None:
             raise ConfigurationError(f"{self.name} has no transport below")
@@ -304,7 +307,10 @@ class GroupRPC(CompositeProtocol):
             self.members.discard(who)
         else:
             self.members.add(who)
-        self._node_spawn(self.bus.trigger(MEMBERSHIP_CHANGE, who, change),
+        # Deferred (like the recovery event below): a change fed in by
+        # setup code, before the simulation runs, creates no coroutine yet.
+        self._node_spawn(deferred(self.bus.trigger, MEMBERSHIP_CHANGE, who,
+                                  change),
                          name=f"memchange-{who}", daemon=True)
 
     def is_member_alive(self, pid: ProcessId) -> bool:
@@ -334,7 +340,7 @@ class GroupRPC(CompositeProtocol):
         for micro in self.micro_protocols:
             micro.reset()
             micro.configure()
-        self._node_spawn(self.bus.trigger(RECOVERY, incarnation),
+        self._node_spawn(deferred(self.bus.trigger, RECOVERY, incarnation),
                          name="recovery-event", daemon=True)
 
     # ------------------------------------------------------------------

@@ -92,7 +92,6 @@ class ServiceCluster:
         self.obs = self.deployment.obs
         self.fabric = self.deployment.fabric
         self.nodes = self.deployment.nodes
-        self.demuxes = self.deployment.demuxes
         self.server_pids = self._service.server_pids
         self.client_pids = self._service.client_pids
         self.grpcs = self._service.grpcs

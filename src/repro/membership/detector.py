@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, List, Set
 from repro.core.messages import MemChange
 from repro.net.message import ProcessId
 from repro.net.node import Node
+from repro.runtime.base import deferred
 from repro.xkernel.upi import Protocol
 
 __all__ = ["Heartbeat", "HeartbeatDetector"]
@@ -47,8 +48,9 @@ class Heartbeat:
 class HeartbeatDetector(Protocol):
     """Per-node heartbeat sender + peer liveness monitor.
 
-    Routes its :class:`Heartbeat` payloads through the node's
-    :class:`~repro.xkernel.demux.TypeDemux`.  ``listeners`` receive
+    Receives its :class:`Heartbeat` payloads through the node's
+    :class:`~repro.xkernel.demux.DispatchTable` (:meth:`attach`), or
+    from a hand-built stack's demux.  ``listeners`` receive
     ``(pid, MemChange)`` callbacks; the service layer forwards these into
     the local gRPC composite's ``MEMBERSHIP_CHANGE`` event.
     """
@@ -71,15 +73,24 @@ class HeartbeatDetector(Protocol):
 
     # ------------------------------------------------------------------
 
+    def attach(self) -> None:
+        """Route this node's heartbeat arrivals here and send through its
+        transport directly."""
+        transport = self.node.transport
+        transport.table.attach(Heartbeat, self)
+        self.lower = transport
+
     def start(self) -> None:
         """Begin sending and monitoring (call once the node is up)."""
         now = self.node.runtime.now()
         for peer in self.peers:
             self._last_seen[peer] = now
-        self.node.spawn(self._sender_loop(), name=f"{self.name}-send",
-                        daemon=True)
-        self.node.spawn(self._monitor_loop(), name=f"{self.name}-mon",
-                        daemon=True)
+        # Deferred: a deployment built but never run leaves no unstarted
+        # loop coroutines behind.
+        self.node.spawn(deferred(self._sender_loop),
+                        name=f"{self.name}-send", daemon=True)
+        self.node.spawn(deferred(self._monitor_loop),
+                        name=f"{self.name}-mon", daemon=True)
 
     def alive(self) -> Set[ProcessId]:
         """Peers currently believed alive (self always included)."""

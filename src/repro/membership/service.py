@@ -18,10 +18,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.core.grpc import GroupRPC
 from repro.core.messages import MemChange
-from repro.membership.detector import Heartbeat, HeartbeatDetector
+from repro.membership.detector import HeartbeatDetector
 from repro.net.fabric import NetworkFabric
 from repro.net.message import ProcessId
-from repro.xkernel.demux import TypeDemux
 
 __all__ = ["OracleMembership", "HeartbeatMembership"]
 
@@ -83,9 +82,10 @@ class HeartbeatMembership:
         #: Nodes whose detector already feeds :meth:`_record_change`.
         self._recorded: Set[ProcessId] = set()
 
-    def attach(self, grpc: GroupRPC, demux: TypeDemux,
+    def attach(self, grpc: GroupRPC,
                peers: Iterable[ProcessId]) -> HeartbeatDetector:
-        """Install a detector on ``grpc``'s node, routed through ``demux``.
+        """Install a detector on ``grpc``'s node, attached to the node's
+        dispatch table.
 
         If the node already carries a detector (another composite on the
         same node attached first), it is reused: ``grpc`` just subscribes
@@ -99,7 +99,7 @@ class HeartbeatMembership:
             detector = HeartbeatDetector(node, peers,
                                          interval=self.interval,
                                          suspect_after=self.suspect_after)
-            demux.attach(Heartbeat, detector)
+            detector.attach()
             self.detectors[node.pid] = detector
             if self._watchers:
                 self._ensure_recording()

@@ -23,6 +23,7 @@ existing links' draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
@@ -172,10 +173,16 @@ class NetworkFabric:
         envelope's fate is decided (the pipeline's budget return).
         """
         now = self.runtime.now()
+        self._envelopes_counter.inc()
+        if not self._filters and (src, dst) not in self._blocked \
+                and not isinstance(payload, WireBatch):
+            # The common case: one message, no filter, open link.
+            self.trace.record(now, "send", src, dst, detail=payload)
+            self._transmit(src, dst, payload, now, resolve)
+            return
         envelope = Envelope(src, dst, payload, now, on_resolved=resolve)
         batched = isinstance(payload, WireBatch)
         inner: List[object] = list(payload) if batched else [payload]
-        self._envelopes_counter.inc()
         trace_record = self.trace.record
         for msg in inner:
             trace_record(now, "send", src, dst, detail=msg)
@@ -196,14 +203,21 @@ class NetworkFabric:
                 inner = survivors
                 payload = survivors[0] if len(survivors) == 1 \
                     else WireBatch(survivors)
-                envelope = Envelope(src, dst, payload, now,
-                                    seq=envelope.seq, on_resolved=resolve)
         if (src, dst) in self._blocked:
             for msg in inner:
                 self.trace.record(now, "drop-partition", src, dst,
                                   detail=msg)
             envelope.resolve()
             return
+        self._transmit(src, dst, payload, now, resolve, inner)
+
+    def _transmit(self, src: ProcessId, dst: ProcessId, payload: object,
+                  now: float, resolve: Optional[Callable[[], None]],
+                  inner: Optional[List[object]] = None) -> None:
+        """Apply the link's loss, duplication and delay to ``payload``
+        and schedule one :class:`Envelope` per delivered copy.  Trace
+        records count per message of ``inner`` (a batch's messages);
+        without it ``payload`` is a single message."""
         key = (src, dst)
         hot = self._hot_links.get(key)
         if hot is None:
@@ -212,23 +226,23 @@ class NetworkFabric:
             self._hot_links[key] = hot
         spec, rng = hot
         if spec.loss and rng.random() < spec.loss:
-            for msg in inner:
+            for msg in inner or (payload,):
                 self.trace.record(now, "drop-loss", src, dst, detail=msg)
-            envelope.resolve()
+            if resolve is not None:
+                resolve()
             return
         copies = 1
         if spec.duplicate and rng.random() < spec.duplicate:
             copies = 2
-            for msg in inner:
+            for msg in inner or (payload,):
                 self.trace.record(now, "duplicate", src, dst, detail=msg)
         for copy in range(copies):
             delay = spec.delay + rng.uniform(0.0, spec.jitter)
             if spec.spike_prob and rng.random() < spec.spike_prob:
                 delay += spec.spike_delay
-            copy_env = Envelope(src, dst, payload, now, copy=copy,
-                                on_resolved=resolve)
-            self.runtime.call_later(
-                delay, lambda env=copy_env: self._deliver(env))
+            self.runtime.call_later(delay, partial(
+                self._deliver, Envelope(src, dst, payload, now, copy=copy,
+                                        on_resolved=resolve)))
 
     def multicast(self, src: ProcessId, group: Group | Iterable[ProcessId],
                   payload: object) -> None:
@@ -243,24 +257,22 @@ class NetworkFabric:
             self.send(src, member, payload)
 
     def _deliver(self, envelope: Envelope) -> None:
+        """A delivery timer fired: hand the envelope to its node, which
+        starts the arrival task at once (or drop it at a down node)."""
         node = self.nodes.get(envelope.dst)
         now = self.runtime.now()
-        payload = envelope.payload
-        inner: List[object] = list(payload) \
-            if isinstance(payload, WireBatch) else [payload]
-        if node is None or not node.up:
-            for msg in inner:
-                self.trace.record(now, "drop-dead", envelope.src,
-                                  envelope.dst, detail=msg)
-            envelope.resolve()
-            return
-        for msg in inner:
-            self.trace.record(now, "deliver", envelope.src, envelope.dst,
-                              detail=msg)
+        src, dst, payload = envelope.src, envelope.dst, envelope.payload
+        up = node is not None and node.up
+        kind = "deliver" if up else "drop-dead"
+        batched = isinstance(payload, WireBatch)
+        for msg in payload if batched else (payload,):
+            self.trace.record(now, kind, src, dst, detail=msg)
         envelope.resolve()
+        if not up:
+            return
         if self.pipeline.link_metrics:
-            self.pipeline.on_delivered(envelope.src, envelope.dst,
-                                       len(inner),
+            self.pipeline.on_delivered(src, dst,
+                                       len(payload) if batched else 1,
                                        now - envelope.send_time)
         node.deliver(envelope)
 

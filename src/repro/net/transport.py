@@ -15,19 +15,23 @@ Outbound messages are handed to the fabric's
 :class:`~repro.net.wire.WirePipeline` — the single send path shared by
 every protocol stack — so link-level coalescing, backpressure and the
 control fast lane apply uniformly no matter which composite is sending.
-Inbound, the transport unbatches :class:`~repro.net.wire.WireBatch`
-envelopes back into individual payloads, each dispatched up the demux
-stack in its own task; everything above this layer is batching-agnostic.
+Inbound, :meth:`UnreliableTransport.handle_arrival` is the task the node
+starts per arriving envelope: it looks the payload up in the node's
+:class:`~repro.xkernel.demux.DispatchTable` (empty in hand-built stacks,
+which receive at ``upper``) and awaits that protocol's ``pop``.  A
+:class:`~repro.net.wire.WireBatch` is unbatched into one task per inner
+message, so everything above this layer is batching-agnostic.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from repro.net.fabric import NetworkFabric
 from repro.net.message import Envelope, Group, ProcessId
 from repro.net.node import Node
 from repro.net.wire import WireBatch
+from repro.xkernel.demux import DispatchTable
 from repro.xkernel.upi import Protocol
 
 __all__ = ["UnreliableTransport"]
@@ -42,6 +46,8 @@ class UnreliableTransport(Protocol):
         super().__init__(f"transport@{node.pid}")
         self.node = node
         self.fabric: NetworkFabric = node.fabric
+        #: This node's arrival routes, filled as protocols attach.
+        self.table = DispatchTable()
         node.transport = self
 
     async def push(self, dest: Destination, payload: object) -> None:
@@ -60,8 +66,14 @@ class UnreliableTransport(Protocol):
         else:
             await pipeline.send(self.node.pid, dest, payload)
 
+    def upper_for(self, payload: object) -> Optional[Protocol]:
+        """The protocol an arrived ``payload`` goes to: the table's
+        route, or ``upper`` when the table has none (hand-built stacks)."""
+        upper = self.table.lookup(payload)
+        return self.upper if upper is None else upper
+
     async def handle_arrival(self, envelope: Envelope) -> None:
-        """Deliver one arrived envelope up the stack (its own task).
+        """Deliver one arrived envelope to its upper (its own task).
 
         A coalesced envelope fans out into one task per inner message,
         preserving arrival order at the same instant while keeping the
@@ -71,9 +83,13 @@ class UnreliableTransport(Protocol):
         payload = envelope.payload
         if isinstance(payload, WireBatch):
             for i, msg in enumerate(payload):
-                self.node.scope.spawn(
-                    self.pop(msg, sender=envelope.src),
-                    name=f"{self.node.name}-msg-{envelope.seq}.{i}",
-                    daemon=True)
+                upper = self.upper_for(msg)
+                if upper is not None:
+                    self.node.scope.spawn(
+                        upper.pop(msg, sender=envelope.src),
+                        name=f"{self.node.name}-msg-{envelope.seq}.{i}",
+                        daemon=True)
             return
-        await self.pop(payload, sender=envelope.src)
+        upper = self.upper_for(payload)
+        if upper is not None:
+            await upper.pop(payload, sender=envelope.src)

@@ -23,7 +23,7 @@ The pipeline is composed of small, configurable stages::
     fabric.send  ← the single internal primitive the pipeline owns
       │  loss / duplication / partitions / scripted fault filters
       ▼
-    delivery → unbatch → TypeDemux / ServiceDemux → composites
+    delivery → arrival task → node DispatchTable → composites
 
 * **Coalescing** — with ``batch=True``, messages sharing a ``(src,
   dst)`` link within one scheduling round travel in a single

@@ -200,6 +200,11 @@ class MetricsRegistry:
         inst = self._counters.get(name)
         return inst.value if inst is not None else default
 
+    def counters(self, prefix: str = "") -> Dict[str, float]:
+        """Name -> value of the non-zero counters under ``prefix``."""
+        return {n: c.value for n, c in self._counters.items()
+                if c.value and n.startswith(prefix)}
+
     def counter_names(self, prefix: str = "") -> List[str]:
         return [n for n in self._counters if n.startswith(prefix)]
 

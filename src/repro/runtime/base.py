@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Coroutine, Tuple
 
-__all__ = ["Runtime", "CancelScope"]
+__all__ = ["Runtime", "CancelScope", "deferred"]
 
 
 class Runtime(abc.ABC):
@@ -96,6 +96,12 @@ class Runtime(abc.ABC):
               daemon: bool = False) -> Any:
         """Start a task; returns a handle usable with :meth:`cancel`."""
 
+    def spawn_now(self, coro: Coroutine, *, name: str = "",
+                  daemon: bool = False) -> Any:
+        """:meth:`spawn`, running the first step at once when the
+        scheduler is idle (the sim kernel); asyncio just spawns."""
+        return self.spawn(coro, name=name, daemon=daemon)
+
     @abc.abstractmethod
     def cancel(self, handle: Any) -> None:
         """Cancel a task previously returned by :meth:`spawn`."""
@@ -153,6 +159,11 @@ class CancelScope:
         # task model spawns millions over a long run; keeping them all
         # also inflates every gc generation-2 sweep).
         self._prune_at = 64
+        # >0 while a spawn_now task runs its first step: no pruning, so
+        # its slot in the list stays where spawn_now marked it.
+        self._hold = 0
+        # Bumped by cancel_all (a crash during that first step).
+        self._generation = 0
 
     @staticmethod
     def _finished(handle: Any) -> bool:
@@ -164,7 +175,7 @@ class CancelScope:
     def _register(self, handle: Any) -> None:
         handles = self._handles
         handles.append(handle)
-        if len(handles) >= self._prune_at:
+        if len(handles) >= self._prune_at and not self._hold:
             finished = self._finished
             self._handles = [h for h in handles if not finished(h)]
             self._prune_at = max(64, 2 * len(self._handles))
@@ -173,6 +184,27 @@ class CancelScope:
               daemon: bool = False) -> Any:
         handle = self._runtime.spawn(coro, name=name, daemon=daemon)
         self._register(handle)
+        return handle
+
+    def spawn_now(self, coro: Coroutine, *, name: str = "",
+                  daemon: bool = False) -> Any:
+        """:meth:`Runtime.spawn_now` under this scope.  A task done after
+        its first step (most message arrivals) is never registered; one
+        still alive is inserted where :meth:`spawn` would have put it,
+        ahead of anything it spawned, so crashes cancel in spawn order."""
+        handles = self._handles
+        mark = len(handles)
+        generation = self._generation
+        self._hold += 1
+        try:
+            handle = self._runtime.spawn_now(coro, name=name, daemon=daemon)
+        finally:
+            self._hold -= 1
+        if not self._finished(handle):
+            if generation != self._generation:
+                self._runtime.cancel(handle)
+            else:
+                handles.insert(mark, handle)
         return handle
 
     def adopt(self, handle: Any) -> None:
@@ -188,4 +220,44 @@ class CancelScope:
                 cancelled += 1
         self._handles.clear()
         self._prune_at = 64
+        self._generation += 1
         return cancelled
+
+
+class _Deferred:
+    """A coroutine made on its first resume (see :func:`deferred`)."""
+
+    __slots__ = ("_make", "_coro")
+
+    def __init__(self, make: Callable[[], Coroutine]):
+        self._make = make
+        self._coro: Any = None
+
+    def __await__(self) -> "_Deferred":
+        return self
+
+    def __next__(self) -> Any:
+        return self.send(None)
+
+    def send(self, value: Any) -> Any:
+        coro = self._coro
+        if coro is None:
+            coro = self._coro = self._make()
+        return coro.send(value)
+
+    def throw(self, exc: Any, *args: Any) -> Any:
+        if self._coro is None:      # never started: end before any code
+            raise exc
+        return self._coro.throw(exc, *args)
+
+    def close(self) -> None:
+        if self._coro is not None:
+            self._coro.close()
+
+
+def deferred(fn: Callable[..., Coroutine], *args: Any) -> Any:
+    """A coroutine for ``fn(*args)``, created only when its task first
+    runs.  Setup code spawns long-lived loops with it: a simulation that
+    is never driven then leaves no unstarted coroutine for the garbage
+    collector to report as "never awaited"."""
+    return _Deferred(lambda: fn(*args))

@@ -44,6 +44,10 @@ class SimRuntime(Runtime):
               daemon: bool = False) -> Task:
         return self.kernel.spawn(coro, name=name, daemon=daemon)
 
+    def spawn_now(self, coro: Coroutine, *, name: str = "",
+                  daemon: bool = False) -> Task:
+        return self.kernel.spawn_now(coro, name=name, daemon=daemon)
+
     def cancel(self, handle: Task) -> None:
         handle.cancel()
 

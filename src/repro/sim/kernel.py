@@ -135,14 +135,37 @@ _CURRENT_TASK_TRAP = _CurrentTaskTrap()
 
 
 # Task states.  Small ints compare faster than interned strings on the
-# step hot path; ``state >= _DONE`` is the "finished" test.
-_READY = 0
-_RUNNING = 1
-_WAITING = 2
-_DONE = 3
-_CANCELLED = 4
+# step hot path; ``state >= _DONE`` is the "finished" test.  ``_NEW`` is
+# a ready task never stepped (its coroutine has not started).
+_NEW = 0
+_READY = 1
+_RUNNING = 2
+_WAITING = 3
+_DONE = 4
+_CANCELLED = 5
 
-_STATE_NAMES = ("READY", "RUNNING", "WAITING", "DONE", "CANCELLED")
+_STATE_NAMES = ("NEW", "READY", "RUNNING", "WAITING", "DONE", "CANCELLED")
+
+
+class _Closed:
+    """Stands in for the coroutine of a task cancelled before its first
+    step (closed at cancel time).  The task stays queued; at its turn the
+    pending cancellation thrown in here ends it, exactly when the
+    unstarted coroutine would have ended — joiners wake unchanged."""
+
+    __slots__ = ()
+
+    def send(self, value: Any) -> Any:  # pragma: no cover - never sent
+        raise KernelError("a cancelled task was resumed")
+
+    def throw(self, exc: BaseException) -> Any:
+        raise exc
+
+    def close(self) -> None:        # a second cancel before the step
+        pass
+
+
+_CLOSED = _Closed()
 
 
 class Task:
@@ -167,7 +190,7 @@ class Task:
         self.coro = coro
         self.name = name or f"task-{self.id}"
         self.daemon = daemon
-        self.state = _READY
+        self.state = _NEW
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self.cancelled = False
@@ -244,9 +267,6 @@ class Timer:
             if kernel is not None:
                 kernel._note_dead_timer()
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
 
 class Kernel:
     """Deterministic virtual-time scheduler for cooperative tasks.
@@ -277,6 +297,9 @@ class Kernel:
         self._current: Optional[Task] = None
         self._tasks: dict[int, Task] = {}
         self._running = False
+        # True while _cancel_all drains: tasks started by spawn_now then
+        # (arrivals due at the final instant) start cancelled.
+        self._closing = False
         #: Exceptions from tasks that finished with an error and were never
         #: joined.  ``run(..., strict=True)`` re-raises the first of these.
         self.failures: list[tuple[Task, BaseException]] = []
@@ -312,6 +335,31 @@ class Kernel:
         self._tasks[task.id] = task
         self._ready.append((task, None))
         self.tasks_spawned += 1
+        return task
+
+    def spawn_now(self, coro: Coroutine, *, name: str = "",
+                  daemon: bool = False) -> Task:
+        """Create a task and, if the scheduler is idle, run its first step
+        now.
+
+        Idle — the loop runs but no task does, and the ready queue is
+        empty — always holds inside a timer action, since the loop drains
+        the ready queue before firing a timer.  Append-then-drain would
+        run the task first anyway, so the schedule is unchanged; only the
+        queue round trip is saved.  Otherwise this is :meth:`spawn`.
+        During a shutdown drain the task starts cancelled: teardown runs
+        cleanup, not new arrivals.
+        """
+        if self._current is not None or self._ready or not self._running:
+            return self.spawn(coro, name=name, daemon=daemon)
+        if self._closing:
+            task = self.spawn(coro, name=name, daemon=daemon)
+            task.cancel()
+            return task
+        task = Task(coro, name, daemon, self)
+        self._tasks[task.id] = task
+        self.tasks_spawned += 1
+        self._step(task, None)
         return task
 
     def call_later(self, delay: float, action: Callable[[], None]) -> Timer:
@@ -598,10 +646,6 @@ class Kernel:
         finally:
             self._current = None
 
-    def _wake_sleeper(self, task: Task) -> None:
-        task._sleep_timer = None
-        self._reschedule(task)
-
     def _finish(self, task: Task, result: Any = None, failed: bool = False,
                 cancelled: bool = False) -> None:
         task.result = result
@@ -625,6 +669,10 @@ class Kernel:
                               "TaskCancelled instead")
         task.cancelled = True
         exc = TaskCancelled(f"{task.name} cancelled")
+        if task.state == _NEW:
+            # Close the unstarted coroutine now, not at garbage collection.
+            task.coro.close()
+            task.coro = _CLOSED
         if task.state == _WAITING:
             if task._unpark is not None:
                 task._unpark(task)
@@ -647,7 +695,11 @@ class Kernel:
                 continue
             task.cancel()
         # Drain so cancellations actually execute their cleanup code.
-        self._loop(None, self._now)
+        self._closing = True
+        try:
+            self._loop(None, self._now)
+        finally:
+            self._closing = False
 
 
 # ----------------------------------------------------------------------

@@ -193,8 +193,8 @@ class Condition:
 class Queue:
     """An unbounded FIFO queue with blocking ``get``.
 
-    Used to hand messages from the network fabric to per-node receiver
-    tasks and as the mailbox behind the asynchronous-call example.
+    The mailbox behind :meth:`repro.runtime.base.Runtime.queue` (the
+    asynchronous-call example, application hand-offs).
     """
 
     def __init__(self) -> None:

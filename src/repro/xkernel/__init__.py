@@ -1,6 +1,6 @@
 """x-kernel Uniform Protocol Interface shell for composite protocols."""
 
-from repro.xkernel.demux import ServiceDemux, TypeDemux
+from repro.xkernel.demux import DispatchTable, TypeDemux
 from repro.xkernel.upi import Protocol, compose_stack
 
-__all__ = ["Protocol", "TypeDemux", "ServiceDemux", "compose_stack"]
+__all__ = ["Protocol", "DispatchTable", "TypeDemux", "compose_stack"]

@@ -1,30 +1,82 @@
 """Payload demultiplexing above the transport.
 
 The x-kernel demultiplexes arriving messages to the right upper protocol;
-our reduced UPI does the same in two stages.  A :class:`TypeDemux` sits
-directly on the transport and routes each arrived payload by its Python
-type — gRPC traffic (:class:`~repro.core.messages.NetMsg`) one way, the
-heartbeat membership detector's ``Heartbeat`` payloads another.  When a
-node hosts *several* gRPC composites (one per named service of a
-:class:`~repro.core.deployment.Deployment`), a :class:`ServiceDemux`
-sits between the type demux and the composites and routes each ``NetMsg``
-by the service key stamped into it on transmission — the x-kernel's
-"relative protocol id" reduced to a service name.  Pushes from any of the
-uppers pass straight down through both stages.
+here a node does it in one lookup.  Its :class:`DispatchTable` (owned by
+the node's transport, filled at deploy time) maps ``(payload class,
+service)`` to the consumer: a gRPC :class:`~repro.core.messages.NetMsg`
+goes to the composite of the service stamped into it on transmission (the
+x-kernel's "relative protocol id" reduced to a service name), a
+``Heartbeat`` to the node's detector.  :class:`TypeDemux` is the
+UPI-shaped alternative for hand-built stacks, placed above a transport
+whose table is empty.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import ReproError
 from repro.xkernel.upi import Protocol
 
-__all__ = ["TypeDemux", "ServiceDemux"]
+__all__ = ["DispatchTable", "TypeDemux"]
+
+
+class DispatchTable:
+    """One node's arrival routes: ``(payload class, service)`` -> upper.
+
+    Payloads without a ``service`` attribute route under ``""``.  An
+    unknown service key falls back to the first upper attached for the
+    class; a subclass routes like its attached base class.
+    """
+
+    __slots__ = ("_routes", "_first")
+
+    def __init__(self) -> None:
+        self._routes: Dict[Tuple[Type, str], Protocol] = {}
+        #: payload class -> first upper attached for it (the fallback).
+        self._first: Dict[Type, Protocol] = {}
+
+    def attach(self, payload_type: Type, upper: Protocol,
+               service: str = "") -> None:
+        """Deliver payloads of ``payload_type`` stamped with ``service``
+        to ``upper``."""
+        key = (payload_type, service)
+        if key in self._routes:
+            raise ReproError(
+                f"{payload_type.__name__} route for service {service!r} "
+                f"is already attached")
+        self._routes[key] = upper
+        self._first.setdefault(payload_type, upper)
+
+    def route(self, payload_type: Type,
+              service: str = "") -> Optional[Protocol]:
+        """The upper attached under exactly this key, or None."""
+        return self._routes.get((payload_type, service))
+
+    def services(self, payload_type: Type) -> List[str]:
+        """The service keys attached for ``payload_type``, sorted."""
+        return sorted(service for cls, service in self._routes
+                      if cls is payload_type)
+
+    def lookup(self, payload: Any) -> Optional[Protocol]:
+        """The upper an arrived ``payload`` goes to, or None (dropped,
+        like a port with no listener)."""
+        cls = payload.__class__
+        service = getattr(payload, "service", "")
+        upper = self._routes.get((cls, service))
+        if upper is not None:
+            return upper
+        upper = self._first.get(cls)
+        if upper is not None:
+            return upper
+        for payload_type, first in self._first.items():
+            if isinstance(payload, payload_type):
+                return self._routes.get((payload_type, service), first)
+        return None
 
 
 class TypeDemux(Protocol):
-    """Routes popped payloads by their Python type."""
+    """Routes popped payloads by their Python type (hand-built stacks)."""
 
     def __init__(self, name: str = "demux"):
         super().__init__(name)
@@ -43,57 +95,3 @@ class TypeDemux(Protocol):
         # Unclaimed payload types are dropped silently, like a port with
         # no listener.
         return None
-
-
-class ServiceDemux(Protocol):
-    """Routes popped payloads by their ``service`` key.
-
-    Sits between a :class:`TypeDemux` and the per-service gRPC composites
-    of a node that hosts more than one.  Each composite stamps its
-    service name into every wire message it transmits
-    (:meth:`repro.core.grpc.GroupRPC.net_push`), so the receiving side
-    can hand the payload to the composite configured for that service —
-    which may run an entirely different micro-protocol stack than its
-    neighbours on the same node.
-
-    Payloads whose key matches no route fall back to the first attached
-    service (messages from hand-built stacks predating service keys), so
-    a single-service node behaves exactly as if the composite sat on the
-    type demux directly.
-    """
-
-    def __init__(self, name: str = "services"):
-        super().__init__(name)
-        self._routes: Dict[str, Protocol] = {}
-        #: Where unkeyed/unknown payloads go; defaults to the first
-        #: attached upper, assignable for explicit control.
-        self.default_upper: Optional[Protocol] = None
-
-    def attach(self, service: str, upper: Protocol) -> None:
-        """Deliver payloads stamped with ``service`` to ``upper``; also
-        wires ``upper.lower`` to this demux for pushes."""
-        if service in self._routes:
-            raise ReproError(
-                f"{self.name}: service {service!r} is already attached")
-        self._routes[service] = upper
-        upper.lower = self
-        if self.default_upper is None:
-            self.default_upper = upper
-
-    def detach(self, service: str) -> None:
-        upper = self._routes.pop(service, None)
-        if upper is self.default_upper:
-            self.default_upper = next(iter(self._routes.values()), None)
-
-    def services(self) -> List[str]:
-        return sorted(self._routes)
-
-    def route(self, service: str) -> Optional[Protocol]:
-        return self._routes.get(service)
-
-    async def pop(self, payload: Any, **kwargs: Any) -> Any:
-        upper = self._routes.get(getattr(payload, "service", ""),
-                                 self.default_upper)
-        if upper is None:
-            return None
-        return await upper.pop(payload, **kwargs)

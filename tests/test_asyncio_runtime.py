@@ -120,3 +120,25 @@ def test_bounded_termination_real_time():
         assert 0.15 < elapsed < 1.0
 
     run(main())
+
+
+def test_deployment_with_two_services_on_asyncio():
+    """A multi-service Deployment runs on asyncio: arrivals take the same
+    dispatch-table path, started with a plain spawn."""
+    from repro import Deployment, read_optimized
+
+    async def main():
+        dep = Deployment(seed=2, default_link=FAST,
+                         runtime=AsyncioRuntime())
+        dep.add_service("a", read_optimized(2.0), KVStore,
+                        servers=[1, 2], clients=[101])
+        dep.add_service("b", read_optimized(2.0), CounterApp,
+                        servers=[2], clients=[101])
+        put = await dep.call(101, "a", "put", {"key": "k", "value": 1})
+        inc = await dep.call(101, "b", "inc", {"amount": 3})
+        assert put.status is Status.OK and inc.status is Status.OK
+        assert dep.services["a"].app(2).data == {"k": 1}
+        assert dep.services["b"].app(2).value == 3
+        await asyncio.sleep(0.05)
+
+    run(main())

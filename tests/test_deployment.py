@@ -21,6 +21,7 @@ from repro import (
 )
 from repro.apps import CounterApp, KVStore
 from repro.core.deployment import CLIENT_BASE_PID
+from repro.core.messages import NetMsg, NetOp
 from repro.errors import BindingError, ConfigurationError, ReproError
 
 
@@ -69,10 +70,10 @@ def test_two_services_share_a_node_with_different_specs():
 
 def test_service_key_routes_wire_messages():
     dep, orders, sessions = two_service_deployment()
-    router = dep.routers[2]
-    assert set(router.services()) == {"orders", "sessions"}
-    assert router.route("orders") is orders.grpc(2)
-    assert router.route("sessions") is sessions.grpc(2)
+    table = dep.nodes[2].transport.table
+    assert table.services(NetMsg) == ["orders", "sessions"]
+    assert table.route(NetMsg, "orders") is orders.grpc(2)
+    assert table.route(NetMsg, "sessions") is sessions.grpc(2)
 
 
 def test_services_with_different_apps():
@@ -356,3 +357,63 @@ def test_cluster_is_a_one_service_deployment():
 def test_cluster_still_rejects_zero_servers():
     with pytest.raises(ReproError):
         ServiceCluster(ServiceSpec(), KVStore, n_servers=0)
+
+
+# ---------------------------------------------------------------------------
+# The per-node dispatch table
+# ---------------------------------------------------------------------------
+
+
+def test_unknown_service_key_falls_back_to_first_service():
+    dep, orders, sessions = two_service_deployment()
+    table = dep.nodes[2].transport.table
+    stray = NetMsg(type=NetOp.CALL, id=1, sender=101, service="nope")
+    assert table.lookup(stray) is orders.grpc(2)
+    unkeyed = NetMsg(type=NetOp.CALL, id=1, sender=101)
+    assert table.lookup(unkeyed) is orders.grpc(2)
+    # Composites send straight into the node's transport.
+    assert orders.grpc(2).lower is dep.nodes[2].transport
+    assert sessions.grpc(2).lower is dep.nodes[2].transport
+
+
+def test_shard_added_after_traffic_gets_its_arrivals():
+    from repro import build_elastic_kv
+
+    dep = Deployment(seed=21)
+    plane, kv = build_elastic_kv(dep, 2)
+
+    async def scenario():
+        for i in range(20):
+            assert (await kv.put(f"k{i}", i)).ok
+        await plane.add_shard()
+        # The new shard's composite on the (already busy) client node
+        # attached to that node's table after traffic started; its
+        # replies must reach it rather than the first service.
+        for i in range(20):
+            result = await kv.get(f"k{i}")
+            assert result.ok and result.args == i
+
+    dep.run_scenario(scenario())
+    newcomer = plane.shards[-1]
+    assert any(plane.ring.route(f"k{i}") == newcomer for i in range(20))
+    svc = dep.services[newcomer]
+    for pid, grpc in svc.grpcs.items():
+        assert dep.nodes[pid].transport.table.route(NetMsg, newcomer) \
+            is grpc
+    assert dep.metrics.value(f"service.{newcomer}.calls") > 0
+
+
+def test_heartbeats_reach_the_detector_through_the_table():
+    from repro.membership.detector import Heartbeat
+
+    dep, orders, sessions = two_service_deployment(
+        membership="heartbeat", heartbeat_interval=0.05, suspect_after=3)
+    detector = dep._membership.detectors[2]
+    table = dep.nodes[2].transport.table
+    assert table.route(Heartbeat) is detector
+    assert detector.lower is dep.nodes[2].transport
+    dep.settle(0.5)
+    # Every peer's beats arrived recently (well inside the 0.05 s grid).
+    for peer in detector.peers:
+        assert dep.runtime.now() - detector._last_seen[peer] <= 0.1, peer
+    assert dep.metrics.value("net.fastlane.sends") > 0

@@ -318,3 +318,56 @@ def test_handler_exception_propagates_to_trigger_caller():
         assert bus.in_dispatch() is None
 
     rt.run(main())
+
+
+def test_cancelling_an_unstarted_task_closes_its_coroutine_on_schedule():
+    kernel = Kernel()
+    log = []
+
+    async def victim():
+        log.append("victim ran")    # pragma: no cover - never runs
+
+    async def other():
+        log.append("other")
+
+    async def main():
+        coro = victim()
+        task = kernel.spawn(coro)
+        kernel.spawn(other())
+        task.cancel()
+        # Closed at once: nothing is left for the garbage collector to
+        # report as "never awaited" ...
+        assert coro.cr_frame is None
+        task.cancel()               # a second cancel is harmless
+        # ... but the task still ends at its own turn in the ready
+        # queue, so a joiner wakes exactly where it used to: after
+        # "other", which was queued behind it.
+        with pytest.raises(TaskCancelled):
+            await task.join()
+        log.append("joined")
+
+    kernel.run(main())
+    assert log == ["other", "joined"]
+
+
+def test_spawn_now_steps_in_place_only_when_idle():
+    kernel = Kernel()
+    log = []
+
+    async def arrival(tag):
+        log.append(tag)
+
+    def fire():
+        kernel.spawn_now(arrival("inline"))
+        log.append("after")
+
+    async def main():
+        kernel.call_later(0.1, fire)
+        await sleep(0.2)
+        # From inside a task it is a plain spawn: queued behind us.
+        kernel.spawn_now(arrival("queued"))
+        log.append("spawner")
+        await sleep(0)
+
+    kernel.run(main())
+    assert log == ["inline", "after", "spawner", "queued"]

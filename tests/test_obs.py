@@ -136,10 +136,9 @@ def test_network_counters_live_in_the_registry(traced):
     assert cluster.metrics is cluster.obs.metrics
     assert cluster.metrics.value("net.send") == cluster.trace.sends
     assert cluster.metrics.value("net.drop-loss") == cluster.trace.losses
-    # The legacy mapping view agrees with the registry.
-    assert cluster.trace.counts["send"] == cluster.metrics.value("net.send")
-    assert dict(cluster.trace.counts)["deliver"] == \
-        cluster.trace.deliveries
+    # The per-kind accessor reads the same registry counters.
+    assert cluster.trace.count("send") == cluster.metrics.value("net.send")
+    assert cluster.trace.count("deliver") == cluster.trace.deliveries
 
 
 def test_runtime_stats_publish_as_gauges(traced):

@@ -83,7 +83,7 @@ def test_observer_does_not_change_behavior():
             cluster.call_and_run("put", {"key": f"k{i}", "value": i},
                                  extra_time=0.3)
         states = [cluster.app(pid).data for pid in cluster.server_pids]
-        return states, dict(cluster.trace.counts)
+        return states, cluster.metrics.counters("net.")
 
     plain_states, plain_counts = run(False)
     observed_states, observed_counts = run(True)
