@@ -69,21 +69,11 @@ class AdaptationDriver:
         #: Baseline compositions stashed at degrade time, restored after
         #: the group heals.
         self._baselines: Dict[str, ServiceSpec] = {}
-        self._suspected: Set[int] = set()
         # service -> (decision kind, armed hysteresis timer).
         self._pending: Dict[str, Tuple[str, Any]] = {}
         self._closed = False
-        #: View-delta subscription when the placement plane is live
-        #: (one stream carries membership and epoch events); raw
-        #: membership callbacks otherwise.
-        self._views = getattr(deployment, "views", None)
-        if self._views is not None:
-            self._views.watch(self._on_delta)
-        else:
-            deployment.watch_membership(self._on_change)
-        register = getattr(deployment, "register_driver", None)
-        if register is not None:
-            register(self)
+        deployment.watch_membership(self._on_change)
+        deployment.register_driver(self)
 
     def close(self) -> None:
         """Detach from the membership stream and cancel pending timers.
@@ -95,33 +85,19 @@ class AdaptationDriver:
         if self._closed:
             return
         self._closed = True
-        if self._views is not None:
-            self._views.unwatch(self._on_delta)
-        else:
-            self.deployment.unwatch_membership(self._on_change)
+        self.deployment.unwatch_membership(self._on_change)
         for _, timer in self._pending.values():
             timer.cancel()
         self._pending.clear()
-        unregister = getattr(self.deployment, "unregister_driver", None)
-        if unregister is not None:
-            unregister(self)
+        self.deployment.unregister_driver(self)
 
     # ------------------------------------------------------------------
     # Membership stream
     # ------------------------------------------------------------------
 
-    def _on_delta(self, delta: Any) -> None:
-        if self._closed or delta.kind != "member":
-            return
-        self._on_change(delta.pid, delta.alive)
-
     def _on_change(self, pid: int, alive: bool) -> None:
         if self._closed:
             return
-        if alive:
-            self._suspected.discard(pid)
-        else:
-            self._suspected.add(pid)
         for svc in list(self.deployment.services.values()):
             if self.services is not None and svc.name not in self.services:
                 continue
@@ -131,7 +107,8 @@ class AdaptationDriver:
     def _evaluate(self, svc: Any) -> None:
         name = svc.name
         degraded = name in self._baselines
-        troubled = bool(self._suspected & set(svc.server_pids))
+        troubled = bool(self.deployment.suspected
+                        & set(svc.server_pids))
         if troubled and not degraded \
                 and self._degrade_spec(svc.spec) is not None:
             want = "degrade"
@@ -177,7 +154,8 @@ class AdaptationDriver:
             return
         # Re-check the condition: the grace window passed without a
         # cancelling flip, but the world may have moved since _fire.
-        troubled = bool(self._suspected & set(svc.server_pids))
+        troubled = bool(self.deployment.suspected
+                        & set(svc.server_pids))
         if kind == "degrade":
             if not troubled or name in self._baselines:
                 return

@@ -4,10 +4,9 @@
 AdaptationPlan` against a *running* service with zero acknowledged-call
 loss.  The protocol:
 
-1. **park** — a gate (``runtime.event()``) is installed for the service;
-   :meth:`Deployment.call` admissions wait on it, so no new call enters
-   the composites while the switch is in progress (the placement plane's
-   parking idiom).
+1. **park** — the service's :class:`~repro.core.gate.CallGate` closes;
+   :meth:`Deployment.call` admissions park on it, so no new call enters
+   the composites while the switch is in progress.
 2. **drain** — the engine polls until the group is quiescent: no
    admitted call still inside the deployment call path, every server
    table empty, no ``WAITING`` client record anywhere (and, when the
@@ -51,6 +50,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.adapt.plan import AdaptationPlan, validate_plan
 from repro.core.config import ServiceSpec
+from repro.core.gate import CallGate
 from repro.core.grpc import ADAPT_EPOCH_KEY, MSG_FROM_NETWORK, GroupRPC
 from repro.core.messages import NetMsg, Status
 from repro.core.microprotocols.base import GRPCMicroProtocol
@@ -143,10 +143,10 @@ class AdaptationManager:
     Installing the manager (its constructor sets
     ``deployment.adaptation``) is what switches the deployment's call
     path into adaptation-aware admission: :meth:`Deployment.call` then
-    brackets every call between :meth:`admit` and :meth:`release`, which
-    is how the engine parks new calls and knows when the old composition
-    has drained.  Deployments that never adapt keep the call path on a
-    single is-None test.
+    parks every call at the service's :meth:`gate` and counts it inside,
+    which is how the engine holds new calls back and knows when the old
+    composition has drained.  Deployments that never adapt keep the call
+    path on a single is-None test.
     """
 
     def __init__(self, deployment: Any):
@@ -158,13 +158,8 @@ class AdaptationManager:
         self.metrics = deployment.metrics
         #: Per-service committed epoch (0 = never adapted).
         self.epochs: Dict[str, int] = {}
-        # service -> parking gate while a switch is in progress.
-        self._gates: Dict[str, Any] = {}
-        # service -> calls admitted into Deployment.call and not yet
-        # released (the drain condition's first clause).
-        self._inflight: Dict[str, int] = {}
-        # service -> calls parked by the switch currently draining.
-        self._parked_now: Dict[str, int] = {}
+        #: service -> its call gate (closed while a switch drains).
+        self.gates: Dict[str, CallGate] = {}
         deployment.adaptation = self
 
     @classmethod
@@ -173,25 +168,13 @@ class AdaptationManager:
         manager = getattr(deployment, "adaptation", None)
         return manager if manager is not None else cls(deployment)
 
-    # ------------------------------------------------------------------
-    # Call-path hooks (Deployment.call)
-    # ------------------------------------------------------------------
-
-    async def admit(self, service: str) -> None:
-        """Park while ``service`` is mid-switch; then count the call in."""
-        while True:
-            gate = self._gates.get(service)
-            if gate is None:
-                break
-            self._parked_now[service] = \
-                self._parked_now.get(service, 0) + 1
-            self.metrics.counter("adapt.parked").inc()
-            await gate.wait()
-        self._inflight[service] = self._inflight.get(service, 0) + 1
-
-    def release(self, service: str) -> None:
-        """The admitted call left the deployment call path."""
-        self._inflight[service] = self._inflight.get(service, 1) - 1
+    def gate(self, service: str) -> CallGate:
+        """The service's call gate (created on first use)."""
+        gate = self.gates.get(service)
+        if gate is None:
+            gate = self.gates[service] = CallGate(
+                self.deployment.runtime, self.metrics, "adapt.parked")
+        return gate
 
     # ------------------------------------------------------------------
     # The switch itself
@@ -220,7 +203,7 @@ class AdaptationManager:
         svc = self.deployment.service(service)
         plan = self._as_plan(service, target, reason,
                              drain_timeout, drain_poll)
-        if service in self._gates:
+        if self.gate(service).closed:
             raise AdaptationError(
                 f"service {service!r} is already mid-adaptation; "
                 f"one switch at a time per service")
@@ -262,21 +245,19 @@ class AdaptationManager:
         to_names = plan.to_spec.micro_protocol_names()
 
         # -- park + drain ----------------------------------------------
-        gate = runtime.event()
-        self._gates[service] = gate
-        self._parked_now[service] = 0
+        gate = self.gate(service)
+        gate.close()
         if flight is not None:
             flight.note("adapt-prepare", service=service,
                         reason=plan.reason)
         start = runtime.now()
         deadline = start + plan.drain_timeout
         require_empty = from_spec.call != plan.to_spec.call
-        while not self._quiesced(svc, require_empty):
+        while not self._quiesced(svc, gate, require_empty):
             if runtime.now() >= deadline:
                 # Abort: open the gate and walk away — the running
                 # composition has not been touched.
-                self._gates.pop(service, None)
-                gate.set()
+                gate.open()
                 self.metrics.counter("adapt.aborts").inc()
                 if flight is not None:
                     flight.note("adapt-abort", service=service,
@@ -311,9 +292,8 @@ class AdaptationManager:
         switch_s = runtime.now() - switch_start
 
         # -- release ---------------------------------------------------
-        parked = self._parked_now.pop(service, 0)
-        self._gates.pop(service, None)
-        gate.set()
+        parked = gate.parked
+        gate.open()
         self.metrics.counter("adapt.switches").inc()
         self.metrics.histogram("adapt.drain_s").observe(drain_s)
         self.metrics.histogram("adapt.switch_s").observe(switch_s)
@@ -355,7 +335,8 @@ class AdaptationManager:
             changes["drain_poll"] = drain_poll
         return plan.with_(**changes) if changes else plan
 
-    def _quiesced(self, svc: Any, require_empty: bool) -> bool:
+    def _quiesced(self, svc: Any, gate: CallGate,
+                  require_empty: bool) -> bool:
         """No call is anywhere inside the old composition.
 
         Three layers: calls admitted into the deployment call path and
@@ -367,7 +348,7 @@ class AdaptationManager:
         all — when the call micro-protocol itself changes, even a DONE
         asynchronous record would be unredeemable afterwards.
         """
-        if self._inflight.get(svc.name, 0):
+        if gate.inside:
             return False
         for grpc in svc.grpcs.values():
             if len(grpc.sRPC):
@@ -455,5 +436,6 @@ class AdaptationManager:
         grpc.micro_protocols[:] = new_list
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        switching = sorted(n for n, g in self.gates.items() if g.closed)
         return (f"<AdaptationManager epochs={dict(self.epochs)} "
-                f"switching={sorted(self._gates)}>")
+                f"switching={switching}>")

@@ -43,6 +43,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Set,
     Union,
 )
 
@@ -265,17 +266,23 @@ class Deployment:
         #: epoch check to a single is-None test.
         self.views: Any = None
 
-        # Reconfiguration drivers installed by auto_rebind/auto_adapt;
-        # shutdown() detaches them from the membership stream.
-        self._rebind_driver: Any = None
-        self._adapt_driver: Any = None
-
         #: Every installed reconfiguration driver (rebind, adaptation,
         #: replication, view manager...), in install order.  Drivers
         #: self-register via :meth:`register_driver`; :meth:`shutdown`
         #: detaches them all through this one registry, newest first,
         #: instead of each subsystem hand-rolling its own teardown hook.
         self.drivers: List[Any] = []
+
+        #: Pids the membership stream currently suspects: the one
+        #: suspicion set every consumer reads.  Kept by a tracker that
+        #: sits ahead of every :meth:`watch_membership` subscriber, so a
+        #: subscriber always sees it already updated.
+        self.suspected: Set[int] = set()
+        self._tracking = False
+        if membership != "heartbeat":
+            # Fabric notifications cost nothing until a site changes
+            # state; heartbeat recording is installed on first use.
+            self.track_suspicions()
 
         #: The measurement plane and its two call-path hooks (all None
         #: when disabled, keeping the hot paths on a single is-None
@@ -490,18 +497,20 @@ class Deployment:
                 f"node {client_pid} has no composite for service "
                 f"{service!r} (its participants: "
                 f"{sorted(svc.grpcs)})")
+        start = self.runtime.now()
         # Adaptation-aware admission: while the service is mid-switch,
-        # new calls park here until the new composition is live; the
-        # admit/release bracket is also how the engine knows when the
-        # old composition has drained.
-        adapt = self.adaptation
-        if adapt is not None:
-            await adapt.admit(service)
+        # new calls park at its gate until the new composition is live;
+        # counting the calls inside is how the engine knows when the old
+        # composition has drained.
+        gate = None
+        if self.adaptation is not None:
+            gate = self.adaptation.gate(service)
+            await gate.park(service)
+            gate.enter(service)
         try:
             group = self.registry.lookup(service)
             rgroup = None if self.replication is None \
                 else self.replication.groups.get(service)
-            start = self.runtime.now()
             if rgroup is not None:
                 group = await rgroup.admit(op, group)
             result = await grpc.call(op, args, group)
@@ -509,8 +518,8 @@ class Deployment:
                 result = await rgroup.complete(grpc, op, args, result,
                                                group)
         finally:
-            if adapt is not None:
-                adapt.release(service)
+            if gate is not None:
+                gate.leave(service)
         latency = self.runtime.now() - start
         calls_counter.inc()
         status_counter = status_counters.get(result.status.value)
@@ -539,13 +548,12 @@ class Deployment:
         notifications under ``None``/``"oracle"``, or the deduplicated
         union of per-node heartbeat suspicions under ``"heartbeat"``
         (the first node to suspect a peer triggers the callback; repeat
-        suspicions from other observers do not).  This is the hook the
-        :class:`~repro.placement.driver.RebindDriver` builds on.
+        suspicions from other observers do not).  Subscribers fire in
+        subscription order, each seeing :attr:`suspected` already
+        updated.  Every reconfiguration driver consumes this one stream.
         """
-        if self._membership_mode == "heartbeat":
-            self._membership.watch(watcher)
-        else:
-            self.fabric.watch_membership(watcher)
+        self.track_suspicions()
+        self._subscribe(watcher)
 
     def unwatch_membership(self,
                            watcher: Callable[[int, bool], None]) -> None:
@@ -558,6 +566,26 @@ class Deployment:
             self._membership.unwatch(watcher)
         else:
             self.fabric.unwatch_membership(watcher)
+
+    def track_suspicions(self) -> None:
+        """Keep :attr:`suspected` from now on (idempotent).  Under
+        heartbeat membership this installs the detectors' recording
+        listener, so it waits for the first consumer."""
+        if not self._tracking:
+            self._tracking = True
+            self._subscribe(self._track)
+
+    def _subscribe(self, watcher: Callable[[int, bool], None]) -> None:
+        if self._membership_mode == "heartbeat":
+            self._membership.watch(watcher)
+        else:
+            self.fabric.watch_membership(watcher)
+
+    def _track(self, pid: int, alive: bool) -> None:
+        if alive:
+            self.suspected.discard(pid)
+        else:
+            self.suspected.add(pid)
 
     def register_driver(self, driver: Any) -> None:
         """Enroll a reconfiguration driver for registry-driven teardown.
@@ -578,6 +606,13 @@ class Deployment:
         except ValueError:
             pass
 
+    def _replace_driver(self, kind: type) -> None:
+        """Close the registered driver of type ``kind``: installers
+        replace a driver instead of stacking a second one."""
+        for driver in list(self.drivers):
+            if type(driver) is kind:
+                driver.close()
+
     def auto_rebind(self, *, plane: Any = None, regrow: bool = True):
         """Drive :meth:`rebind` from the membership service.
 
@@ -587,11 +622,8 @@ class Deployment:
         whose last server died is drained onto the surviving shards.
         """
         from repro.placement.driver import RebindDriver
-        if self._rebind_driver is not None:
-            self._rebind_driver.close()
-        driver = RebindDriver(self, plane=plane, regrow=regrow)
-        self._rebind_driver = driver
-        return driver
+        self._replace_driver(RebindDriver)
+        return RebindDriver(self, plane=plane, regrow=regrow)
 
     # ------------------------------------------------------------------
     # Live adaptation
@@ -629,11 +661,8 @@ class Deployment:
         arguments are forwarded to the driver.
         """
         from repro.adapt.driver import AdaptationDriver
-        if self._adapt_driver is not None:
-            self._adapt_driver.close()
-        driver = AdaptationDriver(self, **kwargs)
-        self._adapt_driver = driver
-        return driver
+        self._replace_driver(AdaptationDriver)
+        return AdaptationDriver(self, **kwargs)
 
     def rebind(self, service: str,
                target: Union[Group, Iterable[int]]) -> Group:
@@ -780,8 +809,6 @@ class Deployment:
         for driver in reversed(list(self.drivers)):
             driver.close()
         self.drivers.clear()
-        self._adapt_driver = None
-        self._rebind_driver = None
         if self.observatory is not None:
             self.observatory.close()
         self.runtime.kernel.shutdown()

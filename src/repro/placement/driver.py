@@ -55,18 +55,8 @@ class RebindDriver:
         #: The observatory's flight recorder, or None.
         self._flight = getattr(deployment, "flight", None)
         self._closed = False
-        #: The deployment's view manager when the placement plane is
-        #: live: the driver then consumes :class:`~repro.placement.view.
-        #: ViewDelta` events (one subscription covers membership *and*
-        #: epoch transitions) instead of raw membership callbacks.
-        self._views = getattr(deployment, "views", None)
-        if self._views is not None:
-            self._views.watch(self._on_delta)
-        else:
-            deployment.watch_membership(self._on_change)
-        register = getattr(deployment, "register_driver", None)
-        if register is not None:
-            register(self)
+        deployment.watch_membership(self._on_change)
+        deployment.register_driver(self)
 
     def close(self) -> None:
         """Detach from the membership stream: no further rebinds.
@@ -79,31 +69,20 @@ class RebindDriver:
         if self._closed:
             return
         self._closed = True
-        if self._views is not None:
-            self._views.unwatch(self._on_delta)
-        else:
-            self.deployment.unwatch_membership(self._on_change)
-        unregister = getattr(self.deployment, "unregister_driver", None)
-        if unregister is not None:
-            unregister(self)
+        self.deployment.unwatch_membership(self._on_change)
+        self.deployment.unregister_driver(self)
 
     # ------------------------------------------------------------------
-
-    def _on_delta(self, delta: Any) -> None:
-        """View-stream consumption: membership deltas drive the same
-        shrink/regrow/drain logic; a suspected migration *coordinator*
-        additionally arms the plane's failover recovery (the plan may be
-        stranded with no live supervisor)."""
-        if self._closed or delta.kind != "member":
-            return
-        if (not delta.alive and self.plane is not None
-                and delta.pid == self.plane.coordinator):
-            self.plane.on_coordinator_suspected(delta.pid)
-        self._on_change(delta.pid, delta.alive)
 
     def _on_change(self, pid: int, alive: bool) -> None:
         if self._closed:
             return
+        if (not alive and self.plane is not None
+                and pid == self.plane.coordinator):
+            # A suspected migration coordinator arms the plane's
+            # failover recovery: its plan may be stranded with no live
+            # supervisor.
+            self.plane.on_coordinator_suspected(pid)
         for service in list(self.deployment.services.values()):
             if pid not in service.server_pids:
                 continue

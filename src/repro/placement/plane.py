@@ -14,15 +14,16 @@ RebindDriver` — runs the live key-migration protocol of
 served stale across the resize.
 
 Calls to keys inside a migrating range are **parked** during the
-catch-up/cutover window (an event gate keyed by *ownership change* —
-any key, existing or not yet created, whose owner differs between the
-old and target ring) and released against the new ring once cutover
-completes — "replayed" with fresh routing rather than erroring or
-racing the transfer.  Calls to every other key proceed untouched, which
-is what bounds the availability dip to the moving ranges.  Before the
-catch-up snapshot is taken, the plane waits for in-flight calls that
-already passed the gate to drain, so an acknowledged write can never
-slip in between the re-snapshot and the cutover drop.
+catch-up/cutover window (the plane's :class:`~repro.core.gate.CallGate`,
+closed over *ownership change* — any key, existing or not yet created,
+whose owner differs between the old and target ring) and released
+against the new ring once cutover completes — "replayed" with fresh
+routing rather than erroring or racing the transfer.  Calls to every
+other key proceed untouched, which is what bounds the availability dip
+to the moving ranges.  Before the catch-up snapshot is taken, the plane
+waits for in-flight calls that already passed the gate to drain, so an
+acknowledged write can never slip in between the re-snapshot and the
+cutover drop.
 
 **Coordinator failover.**  Migration phases run as a task *owned by the
 coordinator node*, so a coordinator crash cancels the run exactly where
@@ -68,6 +69,7 @@ from typing import (
 
 from repro.apps.kvstore import StableKVStore
 from repro.core.config import ServiceSpec
+from repro.core.gate import CallGate
 from repro.core.messages import CallResult, Status
 from repro.errors import PlacementError, TaskCancelled
 from repro.placement.migration import KeyMigration, ShardMove
@@ -117,14 +119,12 @@ class PlacementPlane:
         #: crash at a phase, spawn a killer task from the hook — a task
         #: cannot cancel itself.
         self.phase_hook: Optional[Callable[[str], None]] = None
-        #: Predicate over key strings: True while calls to that key must
-        #: park (None when no migration is in its parked window).
-        self._park_pred: Any = None
-        self._gate: Any = None
-        #: Routed calls currently executing, counted per key, so a park
-        #: can wait for calls that passed the gate before it closed.
-        self._inflight: Dict[str, int] = {}
-        self._drain_waiter: Any = None
+        #: Parks calls to moving keys (closed with the ``moving``
+        #: predicate during a migration's parked window) and counts the
+        #: routed calls inside, per key, so a park can drain the calls
+        #: that passed the gate before it closed.
+        self.gate = CallGate(deployment.runtime, self.metrics,
+                             "placement.parked_calls")
         self._mig_lock = deployment.runtime.lock()
         #: True exactly while a phase runner (initial or recovery) is
         #: executing; lets :meth:`recover` distinguish a stranded plan
@@ -179,27 +179,21 @@ class PlacementPlane:
         key_str = str(key)
         self.metrics.counter("placement.router.lookups").inc()
         views = self.views
+        gate = self.gate
         while True:
-            while self._gate is not None and self._park_pred(key_str):
-                self.metrics.counter("placement.parked_calls").inc()
-                await self._gate.wait()
+            await gate.park(key_str)
             epoch = views.epoch
             service = self.ring.route(key_str)
             self.metrics.counter(
                 f"placement.router.keys_routed.{service}").inc()
             if self._load is not None:
                 self._load.note(service, key_str)
-            self._inflight[key_str] = self._inflight.get(key_str, 0) + 1
+            gate.enter(key_str)
             try:
                 result = await self.deployment.call(
                     client_pid, service, op, args, view_epoch=epoch)
             finally:
-                remaining = self._inflight[key_str] - 1
-                if remaining:
-                    self._inflight[key_str] = remaining
-                else:
-                    del self._inflight[key_str]
-                self._notify_drained()
+                gate.leave(key_str)
             if result.status is Status.REDIRECT:
                 continue
             return result
@@ -333,7 +327,7 @@ class PlacementPlane:
         """The largest live, unsuspected candidate pid (the replica
         groups' election rule), or None."""
         deployment = self.deployment
-        suspected = self.views.suspected
+        suspected = deployment.suspected
         live = [pid for pid in self.coordinators
                 if pid in deployment.nodes and deployment.nodes[pid].up
                 and pid not in suspected]
@@ -345,7 +339,7 @@ class PlacementPlane:
         node = deployment.nodes.get(self.coordinator) \
             if self.coordinator is not None else None
         if (node is not None and node.up
-                and self.coordinator not in self.views.suspected):
+                and self.coordinator not in deployment.suspected):
             return
         successor = self._elect()
         if successor is None:
@@ -428,7 +422,7 @@ class PlacementPlane:
             # release the parked calls against the old ring and surface
             # the stranding.  The plan stays persisted — a later
             # :meth:`recover` can still finish the job.
-            self._release()
+            self.gate.open()
             raise PlacementError(
                 f"coordinator {previous} is down mid-migration "
                 f"({reason!r}, phase {phase!r}) and no successor "
@@ -443,7 +437,7 @@ class PlacementPlane:
         if plan is None:
             # The crash landed before the proposal was persisted (or
             # after the commit cleared it): the old view stands.
-            self._release()
+            self.gate.open()
             return None
         node = self.deployment.nodes[successor]
         return node.spawn(self._recover_phases(plan, reason, outcome),
@@ -550,12 +544,12 @@ class PlacementPlane:
 
             try:
                 if park_early:
-                    self._park(moving)
-                    await self._drain_inflight()
+                    self.gate.close(moving)
+                    await self.gate.drain()
                 await migration.warm_transfer()
                 if not park_early:
-                    self._park(moving)
-                    await self._drain_inflight()
+                    self.gate.close(moving)
+                    await self.gate.drain()
                 if self.drain_grace > 0:
                     await runtime.sleep(self.drain_grace)
                 views.update_plan(phase="catchup")
@@ -575,7 +569,7 @@ class PlacementPlane:
                 # A migration error (e.g. a destination rejecting its
                 # ingest) aborts the reshape: the old view stands.
                 views.rollback(reason=f"{reason}:error")
-                self._release()
+                self.gate.open()
                 raise
             self._commit(target, migration, reason)
         finally:
@@ -620,16 +614,16 @@ class PlacementPlane:
                     # warm-ingested copies.  Roll back.
                     await migration.rollback()
                     views.rollback(reason=f"{reason}:coordinator-crash")
-                    self._release()
+                    self.gate.open()
                     outcome["migration"] = None
                     return
                 if phase == "warm":
                     # A dead-shard drain resumes instead: its source
                     # cannot serve the moving keys anyway.  Warm work is
                     # idempotent (snapshot re-reads, ingest overwrites).
-                    if self._gate is None:
-                        self._park(moving)
-                    await self._drain_inflight()
+                    if not self.gate.closed:
+                        self.gate.close(moving)
+                    await self.gate.drain()
                     await migration.warm_transfer()
                     views.update_plan(phase="catchup")
                     self._fire_hook("catchup")
@@ -645,9 +639,9 @@ class PlacementPlane:
                     # idempotent.  The gate survived the crash (it lives
                     # on the plane), so the quiet window still holds.
                     migration.load_snapshots()
-                    if self._gate is None:
-                        self._park(moving)
-                    await self._drain_inflight()
+                    if not self.gate.closed:
+                        self.gate.close(moving)
+                    await self.gate.drain()
                     await migration.catch_up()
                     views.update_plan(phase="cutover",
                                       moves=self._moves_blob(migration),
@@ -661,14 +655,14 @@ class PlacementPlane:
                     # Re-running catch-up here would misread keys the
                     # first cutover already dropped from a source as
                     # deletions — and drop them from the destination.
-                    if self._gate is None:
-                        self._park(moving)
+                    if not self.gate.closed:
+                        self.gate.close(moving)
                     await migration.cutover()
             except TaskCancelled:
                 raise                   # next successor takes over
             except BaseException:
                 views.rollback(reason=f"{reason}:error")
-                self._release()
+                self.gate.open()
                 raise
             self._commit(target, migration, reason)
         finally:
@@ -685,7 +679,7 @@ class PlacementPlane:
             bindings=self._bindings(), moves=(), dead=self.dead),
             reason=reason)
         views.clear_plan()
-        self._release()
+        self.gate.open()
 
     def _sync_view(self) -> None:
         """Publish the plane's current metadata on the view (same epoch)."""
@@ -775,41 +769,6 @@ class PlacementPlane:
                 continue
             for cell in list(node.stable.keys_with_prefix(prefix)):
                 node.stable.delete(cell)
-
-    def _park(self, keys: Any) -> None:
-        """Close the gate: ``keys`` is a set of key strings or a
-        predicate over them (the latter covers whole hash ranges, so
-        keys that do not exist yet park too)."""
-        if callable(keys):
-            self._park_pred = keys
-        else:
-            keyset = set(keys)
-            self._park_pred = keyset.__contains__
-        self._gate = self.deployment.runtime.event()
-
-    async def _drain_inflight(self) -> None:
-        """Wait until no in-flight routed call still targets a parked
-        key — calls that passed the gate before it closed must land on
-        the source before the catch-up snapshot is taken."""
-        while self._park_pred is not None and any(
-                self._park_pred(key) for key in self._inflight):
-            self._drain_waiter = self.deployment.runtime.event()
-            await self._drain_waiter.wait()
-
-    def _notify_drained(self) -> None:
-        waiter = self._drain_waiter
-        if (waiter is not None and self._park_pred is not None
-                and not any(self._park_pred(key)
-                            for key in self._inflight)):
-            self._drain_waiter = None
-            waiter.set()
-
-    def _release(self) -> None:
-        gate, self._gate = self._gate, None
-        self._park_pred = None
-        self._drain_waiter = None
-        if gate is not None:
-            gate.set()
 
     def _publish_gauges(self) -> None:
         self.metrics.gauge("placement.ring.epoch").set(self.epoch)

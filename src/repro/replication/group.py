@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
 
+from repro.core.gate import CallGate
 from repro.core.messages import CallResult
 from repro.errors import ReproError
 from repro.net.message import Group
@@ -75,9 +76,12 @@ class ReplicaGroup:
         self.primary: Optional[int] = (max(self.members)
                                        if rspec.passive else None)
         self._write_blocked = False
-        self._gate: Any = None
         self._rr = 0
         self.metrics = deployment.metrics
+        #: Parks writes while the group is mid-promotion or mid-resync
+        #: (closed exactly when :meth:`_sync_gate` finds them blocked).
+        self.gate = CallGate(deployment.runtime, self.metrics,
+                             "repl.parked_writes")
         self._flight = getattr(deployment, "flight", None)
         m = self.metrics
         self._c_promotions = m.counter("repl.promotions")
@@ -88,7 +92,9 @@ class ReplicaGroup:
         self._c_sync_calls = m.counter("repl.sync.calls")
         self._c_sync_failures = m.counter("repl.sync.failures")
         self._c_failover_retries = m.counter("repl.failover.retries")
-        self._c_parked = m.counter("repl.parked_writes")
+        # Registered at zero (the gate bumps it by name), so metric
+        # snapshots list it before the first parked write.
+        m.counter("repl.parked_writes")
         self._c_reads = m.counter("repl.reads.routed")
         self._publish()
 
@@ -101,10 +107,7 @@ class ReplicaGroup:
         is mid-promotion or mid-resync."""
         if self.rspec.is_read(op):
             return self._read_target(bound)
-        while self._write_blocked or (self.rspec.passive
-                                      and self.primary is None):
-            self._c_parked.inc()
-            await self._gate.wait()
+        await self.gate.park(op)
         if self.rspec.passive:
             return Group(self.name, [self.primary])
         return bound
@@ -179,11 +182,10 @@ class ReplicaGroup:
         return Group(self.name, [pid])
 
     async def _await_primary(self) -> Optional[int]:
-        while self._write_blocked or self.primary is None:
-            if not (self.synced - self.down) and not self._write_blocked:
-                return None      # nobody left to promote
-            self._c_parked.inc()
-            await self._gate.wait()
+        if self.gate.closed and not self._write_blocked \
+                and not (self.synced - self.down):
+            return None          # nobody left to promote
+        await self.gate.park(None)
         return self.primary
 
     # ------------------------------------------------------------------
@@ -226,7 +228,7 @@ class ReplicaGroup:
                               live=len(self.members) - len(self.down))
         if self.rspec.passive and self.primary == pid:
             self.primary = None
-            self._arm_gate()
+            self._sync_gate()
             self._elect(reason="suspicion")
         self._publish()
 
@@ -243,6 +245,9 @@ class ReplicaGroup:
                 daemon=True)
         else:
             self.synced.add(pid)
+            # After a total outage there is no primary to reconsider:
+            # the first replica back is elected outright.
+            self._maybe_promote_sole(pid)
             self._reconsider()
         self._publish()
 
@@ -256,7 +261,7 @@ class ReplicaGroup:
         if self._flight is not None:
             self._flight.note("repl-promote", service=self.name,
                               primary=self.primary, reason=reason)
-        self._release_gate()
+        self._sync_gate()
         self._publish()
 
     def _reconsider(self) -> None:
@@ -297,7 +302,8 @@ class ReplicaGroup:
             self._maybe_promote_sole(pid)
             return
         grpc = self._client_grpc()
-        self._block_writes()
+        self._write_blocked = True
+        self._sync_gate()
         try:
             snap = await grpc.call("snapshot", {},
                                    Group(self.name, [donor]))
@@ -326,48 +332,31 @@ class ReplicaGroup:
                                   pid=pid, donor=donor,
                                   entries=len(entries))
         finally:
-            self._release_writes()
+            self._write_blocked = False
+            self._sync_gate()
             self._reconsider()
             self._publish()
 
     def _maybe_promote_sole(self, pid: int) -> None:
         if self.rspec.passive and self.primary is None:
-            self._arm_gate()
             self._elect(reason="sole-survivor")
 
     def _client_grpc(self) -> Any:
         svc = self.deployment.service(self.name)
         return svc.grpcs[svc.client_pids[0]]
 
-    # ------------------------------------------------------------------
-    # Write parking
-    # ------------------------------------------------------------------
-
-    def _arm_gate(self) -> None:
-        if self._gate is None or self._gate.is_set():
-            self._gate = self.deployment.runtime.event()
-
-    def _block_writes(self) -> None:
-        self._write_blocked = True
-        self._arm_gate()
-
-    def _release_writes(self) -> None:
-        self._write_blocked = False
-        if not (self.rspec.passive and self.primary is None):
-            self._release_gate()
-
-    def _release_gate(self) -> None:
-        if self._gate is not None and not self._write_blocked:
-            self._gate.set()
+    def _sync_gate(self) -> None:
+        """Close the write gate iff writes have nowhere safe to go."""
+        if self._write_blocked or (self.rspec.passive
+                                   and self.primary is None):
+            self.gate.close()
+        else:
+            self.gate.open()
 
     # ------------------------------------------------------------------
 
     def live_members(self) -> List[int]:
         return [pid for pid in self.members if pid not in self.down]
-
-    @property
-    def is_dead(self) -> bool:
-        return not self.live_members()
 
     def _publish(self) -> None:
         self.metrics.gauge(f"repl.group.{self.name}.synced").set(

@@ -36,17 +36,8 @@ class ReplicationManager:
         self.deployment = deployment
         self.groups: Dict[str, ReplicaGroup] = {}
         deployment.replication = self
-        #: View-delta subscription when the placement plane is live (one
-        #: stream carries membership and epoch events); raw membership
-        #: callbacks otherwise.
-        self._views = getattr(deployment, "views", None)
-        if self._views is not None:
-            self._views.watch(self._on_delta)
-        else:
-            deployment.watch_membership(self._on_change)
-        register = getattr(deployment, "register_driver", None)
-        if register is not None:
-            register(self)
+        deployment.watch_membership(self._on_change)
+        deployment.register_driver(self)
         deployment.metrics.gauge("repl.groups").set(0)
 
     @classmethod
@@ -57,22 +48,12 @@ class ReplicationManager:
 
     def close(self) -> None:
         """Detach from the membership stream and uninstall the manager."""
-        if self._views is not None:
-            self._views.unwatch(self._on_delta)
-        else:
-            self.deployment.unwatch_membership(self._on_change)
+        self.deployment.unwatch_membership(self._on_change)
         if getattr(self.deployment, "replication", None) is self:
             self.deployment.replication = None
-        unregister = getattr(self.deployment, "unregister_driver", None)
-        if unregister is not None:
-            unregister(self)
+        self.deployment.unregister_driver(self)
 
     # ------------------------------------------------------------------
-
-    def _on_delta(self, delta: Any) -> None:
-        if delta.kind != "member":
-            return
-        self._on_change(delta.pid, delta.alive)
 
     def replicate(self, service: str, rspec: ReplicaSpec) -> ReplicaGroup:
         """Register ``service`` (already deployed with ``rspec.replicas``
@@ -93,11 +74,6 @@ class ReplicationManager:
         service is not replicated)."""
         group = self.groups.get(service)
         return group.live_members() if group is not None else []
-
-    def group_is_dead(self, service: str) -> bool:
-        """True when every replica of a *registered* group is down."""
-        group = self.groups.get(service)
-        return group is not None and group.is_dead
 
     # ------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ determinism.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Coroutine, Deque, Optional
+from typing import Any, Callable, Coroutine, Optional
 
 from repro.runtime.base import Runtime
 
@@ -56,32 +56,6 @@ class _AsyncioSemaphore:
 
     async def __aexit__(self, *exc: Any) -> None:
         self.release()
-
-
-class _AsyncioQueue:
-    """Adapter exposing sync ``put`` over ``asyncio.Queue``."""
-
-    def __init__(self) -> None:
-        self._queue: asyncio.Queue = asyncio.Queue()
-
-    def __len__(self) -> int:
-        return self._queue.qsize()
-
-    def empty(self) -> bool:
-        return self._queue.empty()
-
-    def put(self, item: Any) -> None:
-        self._queue.put_nowait(item)
-
-    async def get(self) -> Any:
-        return await self._queue.get()
-
-    def get_nowait(self) -> Any:
-        return self._queue.get_nowait()
-
-    def clear(self) -> None:
-        while not self._queue.empty():
-            self._queue.get_nowait()
 
 
 class AsyncioRuntime(Runtime):
@@ -145,9 +119,6 @@ class AsyncioRuntime(Runtime):
 
     def event(self) -> asyncio.Event:
         return asyncio.Event()
-
-    def queue(self) -> _AsyncioQueue:
-        return _AsyncioQueue()
 
     # -- observability ---------------------------------------------------
 

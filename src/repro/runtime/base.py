@@ -6,7 +6,7 @@ code runs on the deterministic virtual-time kernel (for tests, experiments
 and benchmarks) or on ``asyncio`` in real time (for the live demo example).
 
 Protocol code must obtain every primitive it blocks on from the runtime
-(``rt.semaphore()``, ``rt.queue()``, ``await rt.sleep(...)``); never mix
+(``rt.semaphore()``, ``rt.event()``, ``await rt.sleep(...)``); never mix
 primitives from different runtimes.
 """
 
@@ -136,10 +136,6 @@ class Runtime(abc.ABC):
     @abc.abstractmethod
     def event(self) -> Any:
         """A one-shot event with ``set``/``wait``/``is_set``."""
-
-    @abc.abstractmethod
-    def queue(self) -> Any:
-        """An unbounded FIFO with sync ``put`` and async ``get``."""
 
 
 class CancelScope:

@@ -8,7 +8,7 @@ from repro.errors import NoCurrentTask, TaskCancelled
 from repro.runtime.base import Runtime
 from repro.sim import kernel as _kernel
 from repro.sim.kernel import Kernel, Task, Timer
-from repro.sim.sync import Event, Lock, Queue, Semaphore
+from repro.sim.sync import Event, Lock, Semaphore
 
 __all__ = ["SimRuntime"]
 
@@ -75,9 +75,6 @@ class SimRuntime(Runtime):
         # Bound to the owning kernel so configuration actions (crash ->
         # promotion -> gate release) may set it between runs.
         return Event(kernel=self.kernel)
-
-    def queue(self) -> Queue:
-        return Queue()
 
     # -- drivers (sim-only conveniences) --------------------------------
 

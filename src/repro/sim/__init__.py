@@ -18,7 +18,7 @@ from repro.sim.kernel import (
     spawn,
 )
 from repro.sim.rand import RandomSource
-from repro.sim.sync import Condition, Event, Lock, Queue, Semaphore
+from repro.sim.sync import Condition, Event, Lock, Semaphore
 
 __all__ = [
     "Kernel",
@@ -32,7 +32,6 @@ __all__ = [
     "Condition",
     "Event",
     "Lock",
-    "Queue",
     "Semaphore",
     "RandomSource",
 ]

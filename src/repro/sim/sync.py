@@ -23,7 +23,7 @@ from typing import Any, Deque, Optional
 from repro.errors import KernelError
 from repro.sim.kernel import Task, current_kernel, suspend
 
-__all__ = ["Semaphore", "Lock", "Event", "Condition", "Queue"]
+__all__ = ["Semaphore", "Lock", "Event", "Condition"]
 
 
 class Semaphore:
@@ -188,43 +188,3 @@ class Condition:
 
     async def __aexit__(self, *exc: Any) -> None:
         self.release()
-
-
-class Queue:
-    """An unbounded FIFO queue with blocking ``get``.
-
-    The mailbox behind :meth:`repro.runtime.base.Runtime.queue` (the
-    asynchronous-call example, application hand-offs).
-    """
-
-    def __init__(self) -> None:
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Task] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def empty(self) -> bool:
-        return not self._items
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item``; never blocks."""
-        if self._getters:
-            task = self._getters.popleft()
-            current_kernel()._reschedule(task, item)
-        else:
-            self._items.append(item)
-
-    async def get(self) -> Any:
-        """Dequeue the oldest item, blocking while the queue is empty."""
-        if self._items:
-            return self._items.popleft()
-        return await suspend(self._getters.append, self._getters.remove)
-
-    def get_nowait(self) -> Any:
-        """Dequeue without blocking; raises ``IndexError`` when empty."""
-        return self._items.popleft()
-
-    def clear(self) -> None:
-        """Drop all queued items (crash cleanup)."""
-        self._items.clear()

@@ -117,8 +117,39 @@ def test_parked_calls_resume_under_new_composition():
     assert report.parked >= 1
     assert report.drain_s > 0.0
     assert int(dep.metrics.counter("adapt.parked").value) >= report.parked
-    # The gate is gone: nothing parks afterwards.
-    assert dep.adaptation._gates == {}
+    # The gate is open again: nothing parks afterwards.
+    assert not any(gate.closed for gate in dep.adaptation.gates.values())
+    dep.shutdown()
+
+
+def test_latency_histogram_counts_time_parked_at_the_gate():
+    """``service.<name>.latency`` measures what the client measures,
+    including the wait at the adaptation gate."""
+    dep, svc = _deploy(clients=2)
+    first, second = svc.client_pids
+    measured = []
+
+    async def timed_put(pid, key):
+        begin = dep.runtime.now()
+        result = await dep.call(pid, "s", "put", {"key": key, "value": 1})
+        measured.append(dep.runtime.now() - begin)
+        return result
+
+    async def scenario():
+        busy = dep.spawn_client(first, timed_put(first, "a"))
+        await dep.runtime.sleep(0.005)      # in flight: the drain waits
+        switch = dep.runtime.spawn(
+            dep.adapt("s", TOTAL.with_(ordering="fifo")))
+        await dep.runtime.sleep(0.005)      # the gate is closed now
+        parked = dep.spawn_client(second, timed_put(second, "b"))
+        assert (await dep.runtime.join(busy)).ok
+        assert (await dep.runtime.join(parked)).ok
+        return await dep.runtime.join(switch)
+
+    report = dep.run_scenario(scenario(), extra_time=0.5)
+    assert report.parked == 1
+    samples = dep.metrics.histogram("service.s.latency").samples
+    assert sorted(samples) == sorted(measured)
     dep.shutdown()
 
 
@@ -466,6 +497,28 @@ def test_rebind_driver_close_and_reinstall():
     assert len(dep.fabric._membership_watchers) == watchers
     # A closed driver ignores later membership events.
     first._on_change(1, False)
+    dep.shutdown()
+
+
+def test_driver_installed_after_a_suspicion_sees_it():
+    """Suspicion lives on the deployment, not in each driver: a driver
+    installed while a server is already suspected counts it."""
+    dep, svc = _deploy()
+    down, flapping = svc.server_pids[:2]
+    dep.crash(down)
+    assert dep.suspected == {down}
+    driver = dep.auto_adapt(hysteresis=0.05)
+
+    async def scenario():
+        # The flap alone would cancel its own degrade; the server that
+        # was suspected before the install keeps the group troubled.
+        dep.crash(flapping)
+        dep.recover(flapping)
+        await dep.runtime.sleep(1.0)
+
+    dep.run_scenario(scenario(), extra_time=0.5)
+    assert driver.degraded_services() == {"s"}
+    assert svc.spec.ordering == "fifo"
     dep.shutdown()
 
 

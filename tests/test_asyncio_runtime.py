@@ -30,23 +30,6 @@ def test_asyncio_semaphore_adapter():
     run(main())
 
 
-def test_asyncio_queue_adapter():
-    async def main():
-        rt = AsyncioRuntime()
-        queue = rt.queue()
-        queue.put("a")
-        queue.put("b")
-        assert len(queue) == 2
-        assert await queue.get() == "a"
-        assert queue.get_nowait() == "b"
-        assert queue.empty()
-        queue.put("c")
-        queue.clear()
-        assert queue.empty()
-
-    run(main())
-
-
 def test_asyncio_spawn_join_cancel():
     async def main():
         rt = AsyncioRuntime()

@@ -417,3 +417,25 @@ def test_heartbeats_reach_the_detector_through_the_table():
     for peer in detector.peers:
         assert dep.runtime.now() - detector._last_seen[peer] <= 0.1, peer
     assert dep.metrics.value("net.fastlane.sends") > 0
+
+
+@pytest.mark.parametrize("membership", ["oracle", "heartbeat"])
+def test_membership_consumers_fire_in_order_after_suspected_updates(
+        membership):
+    """One stream: subscribers fire in subscription order, each seeing
+    ``deployment.suspected`` already updated."""
+    dep = Deployment(seed=5, membership=membership)
+    dep.add_service("s", ServiceSpec(), KVStore, servers=2)
+    seen = []
+    for tag in ("first", "second", "third"):
+        dep.watch_membership(
+            lambda pid, alive, tag=tag:
+            seen.append((tag, pid, alive, set(dep.suspected))))
+    dep.crash(1)
+    dep.settle(1.0)
+    dep.recover(1)
+    dep.settle(1.0)
+    tags = ["first", "second", "third"]
+    assert seen == [(tag, 1, False, {1}) for tag in tags] + \
+        [(tag, 1, True, set()) for tag in tags]
+    dep.shutdown()

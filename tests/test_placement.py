@@ -254,13 +254,13 @@ def test_parked_call_waits_for_release_then_routes_fresh():
     results = []
 
     async def scenario():
-        plane._park({key})
+        plane.gate.close({key}.__contains__)
         task = dep.runtime.spawn(kv.get(key), name="parked-get")
         await dep.runtime.sleep(0.5)
         assert not results             # still gated
         other = await kv.get("key-1")  # non-moving keys are untouched
         assert other.ok
-        plane._release()
+        plane.gate.open()
         results.append(await dep.runtime.join(task))
 
     dep.run_scenario(scenario())
@@ -436,7 +436,7 @@ def test_keys_created_during_resize_are_not_lost():
 
 def test_park_waits_for_inflight_calls_to_drain():
     """A call that passed the gate before parking must land before the
-    catch-up snapshot: _drain_inflight blocks until it completes."""
+    catch-up snapshot: the gate's drain blocks until it completes."""
     dep = Deployment(seed=35)
     plane, kv = build_elastic_kv(dep, 2)
     write_keys(dep, kv, 4)
@@ -452,10 +452,10 @@ def test_park_waits_for_inflight_calls_to_drain():
     async def scenario():
         task = dep.runtime.spawn(slow_put(), name="slow-put")
         await dep.runtime.sleep(0.05)     # in flight, gate still open
-        plane._park({key})
-        await plane._drain_inflight()
+        plane.gate.close({key}.__contains__)
+        await plane.gate.drain()
         order.append("drained")
-        plane._release()
+        plane.gate.open()
         assert (await dep.runtime.join(task)).ok
 
     dep.run_scenario(scenario())

@@ -461,6 +461,32 @@ def test_writes_park_during_resync_and_drain():
     dep.run_scenario(verify())
 
 
+def test_passive_group_without_resync_elects_after_total_outage():
+    """With resync off, the first replica back after a total outage is
+    elected outright: a later write must not park forever."""
+    dep = Deployment(seed=53, membership="oracle")
+    kv = build_sharded_kv(dep, 1,
+                          replication=primary_backup(2, resync=False))
+    group = dep.replication.group("shard-0")
+    low, high = sorted(group.members)
+    dep.crash(high)
+    dep.crash(low)
+    assert group.primary is None and group.gate.closed
+    dep.recover(low)
+    assert group.primary == low and not group.gate.closed
+    results = []
+
+    async def write():
+        results.append(await kv.put("after", 1))
+
+    async def scenario():
+        dep.runtime.spawn(write(), name="writer", daemon=True)
+        await dep.runtime.sleep(20.0)
+
+    dep.run_scenario(scenario())
+    assert len(results) == 1 and results[0].ok
+
+
 # ---------------------------------------------------------------------------
 # Placement integration: revive instead of drain, elastic replica groups
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ def test_primitive_factories_are_independent_instances():
     rt = SimRuntime()
     assert rt.semaphore(2) is not rt.semaphore(2)
     assert rt.lock() is not rt.lock()
-    assert rt.queue() is not rt.queue()
     assert rt.event() is not rt.event()
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for semaphores, locks, events, conditions, and queues."""
+"""Unit tests for semaphores, locks, events, and conditions."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.sim import (
     Event,
     Kernel,
     Lock,
-    Queue,
     Semaphore,
     sleep,
     spawn,
@@ -278,61 +277,3 @@ def test_condition_notify_all():
 
     kernel.run(main())
     assert sorted(woken) == [0, 1, 2]
-
-
-def test_queue_fifo_and_blocking_get():
-    kernel = Kernel()
-    queue = Queue()
-    got = []
-
-    async def consumer():
-        for _ in range(3):
-            got.append(await queue.get())
-
-    async def main():
-        task = await spawn(consumer())
-        await sleep(1)
-        queue.put(1)
-        queue.put(2)
-        queue.put(3)
-        await task.join()
-
-    kernel.run(main())
-    assert got == [1, 2, 3]
-
-
-def test_queue_get_nowait_and_len():
-    kernel = Kernel()
-
-    async def main():
-        queue = Queue()
-        queue.put("a")
-        queue.put("b")
-        assert len(queue) == 2
-        assert queue.get_nowait() == "a"
-        assert not queue.empty()
-        queue.clear()
-        assert queue.empty()
-        with pytest.raises(IndexError):
-            queue.get_nowait()
-
-    kernel.run(main())
-
-
-def test_queue_handoff_to_waiting_getter():
-    kernel = Kernel()
-    queue = Queue()
-    got = []
-
-    async def consumer():
-        got.append(await queue.get())
-
-    async def main():
-        await spawn(consumer())
-        await sleep(1)
-        queue.put("direct")
-        assert queue.empty()  # handed straight to the waiter
-        await sleep(0)
-
-    kernel.run(main())
-    assert got == ["direct"]
