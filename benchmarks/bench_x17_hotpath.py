@@ -21,9 +21,10 @@ Modes:
 
 * full (default): 10^6 calls — the published trajectory point;
 * ``REPRO_BENCH_TINY=1``: 20k calls — the CI perf-smoke point;
-* ``REPRO_X17_PROFILE=1``: 40k calls under the observatory's kernel
-  profiler; writes ``x17_hotpath_profile_<phase>.txt`` (collapsed
-  stacks + profiler report) instead of a trajectory point.
+* ``REPRO_X17_PROFILE=1``: 40k calls (20k with ``REPRO_BENCH_TINY=1``)
+  under the observatory's kernel profiler; writes
+  ``x17_hotpath_profile_<phase>.txt`` (the profiler report: sampled
+  wall clock per task) instead of a trajectory point.
 * ``REPRO_X17_DIST=zipf`` (the CLI's ``--dist=zipf``): keys are drawn
   from a Zipf(s=1.1) distribution per lane instead of cycling
   uniformly, so a handful of hot keys absorb most of the load — the
@@ -148,9 +149,7 @@ def run_point():
         profiler = dep.observatory.profiler
         profile_text = "\n".join(
             ["# bench_x17 hot-path profile — phase: " + PHASE, ""]
-            + profiler.report_lines(top=12)
-            + ["", "# collapsed stacks (self virtual microseconds)",
-               profiler.collapsed()])
+            + profiler.report_lines(top=12))
     dep.settle(1.0)
     dep.shutdown()
     skew = {}

@@ -120,8 +120,8 @@ def kill_at(phase):
     begin = dep.runtime.now()
     dep.run_scenario(scenario(), extra_time=1.0)
     elapsed = dep.runtime.now() - begin
-    tapes = [kind for _, _, kind, _ in dep.flight.entries()
-             if kind in TAPES]
+    tapes = [record.kind for _, record in dep.flight.entries()
+             if record.kind in TAPES]
     row = {
         "phase": phase,
         "outcome": "rollback" if phase in ROLLBACK_PHASES else "resume",

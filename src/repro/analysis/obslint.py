@@ -59,9 +59,8 @@ METRIC_NAMESPACES: Dict[str, str] = {
     "placement.load.": "observatory: per-key load accounting (lookup "
                        "volume and top-K hot keys per shard)",
     "placement.view.": "replicated placement metadata plane (epoch "
-                       "gauge, commits, rollbacks, proposals, recovery "
-                       "joins, stale-epoch bounces, coordinator "
-                       "takeovers)",
+                       "gauge, commits, rollbacks, proposals, "
+                       "stale-epoch bounces, coordinator takeovers)",
     "placement.": "elastic placement plane (ring, migrations, rebinds, "
                   "drain-averting revives)",
     "repl.": "replication plane: replica groups (promotions, demotions, "
@@ -71,7 +70,7 @@ METRIC_NAMESPACES: Dict[str, str] = {
               "switch durations, plan validation verdicts, aborts, "
               "fence drops, policy decisions (degrade/restore/"
               "cancelled)",
-    "obs.profile.": "observatory: kernel/handler/marshal profiler",
+    "obs.profile.": "observatory: kernel-step/marshal profiler",
     "obs.slo.": "observatory: windowed latency watermarks and breaches",
     "obs.recorder.": "observatory: flight-recorder ring accounting",
     "obs.": "obs layer self-accounting (handler recordings)",

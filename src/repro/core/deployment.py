@@ -287,8 +287,7 @@ class Deployment:
         #: The measurement plane and its two call-path hooks (all None
         #: when disabled, keeping the hot paths on a single is-None
         #: test).  Built last: it subscribes to membership and hooks the
-        #: fabric's pipeline, both of which must exist — and before any
-        #: ``add_service``, so every event bus captures the profiler.
+        #: fabric's pipeline, both of which must exist.
         self.observatory: Optional[Observatory] = None
         self.flight: Any = None
         self._slo: Any = None

@@ -130,12 +130,10 @@ class EventBus:
         # and are dropped, so a swapped-out protocol cannot ghost its
         # timers back into the bus.  Empty for never-adapted composites.
         self._retired_owners: set = set()
-        # Observability: the recorder and the kernel profiler are
-        # resolved ONCE here (attach-time check; see Runtime.attach_obs
-        # and Runtime.attach_profiler).  ``None`` keeps every dispatch
+        # Observability: the recorder is resolved ONCE here (attach-time
+        # check; see Runtime.attach_obs).  ``None`` keeps every dispatch
         # on the untraced fast path.
         self._obs = getattr(runtime, "obs", None)
-        self._prof = getattr(runtime, "profiler", None)
         #: Process id of the owning node, for trace attribution;
         #: composites bound to a node set this (-1 = unowned bus).
         self.node_id = -1
@@ -245,7 +243,7 @@ class EventBus:
         tuple, so the snapshot is free: a registration mid-dispatch swaps
         in a new table while the in-flight loop keeps the old one).
         """
-        if self._obs is not None or self._prof is not None:
+        if self._obs is not None:
             return await self._trigger_traced(event, *args)
         table = self._tables.get(event)
         if table is None:
@@ -295,10 +293,8 @@ class EventBus:
     async def _trigger_traced(self, event: str, *args: Any) -> bool:
         """The traced twin of :meth:`trigger`: identical semantics, plus
         one structured record (with virtual-time duration, owner and
-        priority) per handler invocation and/or one profiler frame per
-        handler site."""
+        priority) per handler invocation."""
         obs = self._obs
-        prof = self._prof
         snapshot = list(self._handlers.get(event, []))
         if not snapshot:
             return True
@@ -311,21 +307,11 @@ class EventBus:
                 if dispatch.cancelled:
                     break
                 start = self.runtime.now()
-                if prof is not None:
-                    prof.handler_enter(task_key, reg.owner,
-                                       _handler_name(reg.handler))
-                    try:
-                        await reg.handler(*args)
-                    finally:
-                        prof.handler_exit(task_key,
-                                          self.runtime.now() - start)
-                else:
-                    await reg.handler(*args)
-                if obs is not None:
-                    obs.record_handler(
-                        event, reg.owner, _handler_name(reg.handler),
-                        reg.priority, start, self.runtime.now(),
-                        node=self.node_id, cancelled=dispatch.cancelled)
+                await reg.handler(*args)
+                obs.record_handler(
+                    event, reg.owner, _handler_name(reg.handler),
+                    reg.priority, start, self.runtime.now(),
+                    node=self.node_id, cancelled=dispatch.cancelled)
         finally:
             self._pop_dispatch(task_key, stack, dispatch)
         return not dispatch.cancelled
@@ -386,17 +372,10 @@ class EventBus:
         stack = self._active.setdefault(task_key, [])
         stack.append(dispatch)
         obs = self._obs
-        prof = self._prof
-        start = (self.runtime.now()
-                 if obs is not None or prof is not None else 0.0)
-        if prof is not None:
-            prof.handler_enter(task_key, reg.owner,
-                               _handler_name(reg.handler))
+        start = self.runtime.now() if obs is not None else 0.0
         try:
             await reg.handler(*args)
         finally:
-            if prof is not None:
-                prof.handler_exit(task_key, self.runtime.now() - start)
             self._pop_dispatch(task_key, stack, dispatch)
             if obs is not None:
                 obs.record_handler(
@@ -459,17 +438,10 @@ class EventBus:
         stack = self._active.setdefault(task_key, [])
         stack.append(dispatch)
         obs = self._obs
-        prof = self._prof
-        start = (self.runtime.now()
-                 if obs is not None or prof is not None else 0.0)
-        if prof is not None:
-            prof.handler_enter(task_key, reg.owner,
-                               _handler_name(reg.handler))
+        start = self.runtime.now() if obs is not None else 0.0
         try:
             await reg.handler()
         finally:
-            if prof is not None:
-                prof.handler_exit(task_key, self.runtime.now() - start)
             self._pop_dispatch(task_key, stack, dispatch)
             if obs is not None:
                 obs.record_handler(

@@ -21,7 +21,6 @@ from repro.core.microprotocols.interference_avoidance import (
 from repro.core.microprotocols.observer import (
     CallObserver,
     CallTraceLog,
-    TracePoint,
 )
 from repro.core.microprotocols.probe_orphan import ProbeOrphanTermination
 from repro.core.microprotocols.reliable_communication import (
@@ -62,5 +61,4 @@ __all__ = [
     "ProbeOrphanTermination",
     "CallObserver",
     "CallTraceLog",
-    "TracePoint",
 ]

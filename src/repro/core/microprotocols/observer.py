@@ -12,17 +12,17 @@ All observers in one deployment share a :class:`CallTraceLog`; query it
 by call identity for a timeline or ask for summary statistics (e.g.
 execution fan-out per call), as the quickstart example does.
 
+Each observation is an :class:`~repro.obs.recorder.EventRecord` (the
+point's ``kind``, the observing node, and ``key``/``detail`` fields).
 When the deployment has the observability layer enabled, the log also
-mirrors every observation into the shared
-:class:`~repro.obs.recorder.Recorder` as ``call.point`` event records, so
-the exported JSONL trace carries the protocol-level timeline alongside
-the span tree.  The query API (:meth:`~CallTraceLog.timeline` &c.) is
-unchanged either way.
+hands every record to the shared :class:`~repro.obs.recorder.Recorder`,
+so the exported JSONL trace carries the protocol-level timeline
+alongside the span tree.  The query API (:meth:`~CallTraceLog.timeline`
+&c.) is the same either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.grpc import (
@@ -33,46 +33,37 @@ from repro.core.grpc import (
 )
 from repro.core.messages import CallKey, NetMsg, NetOp, UserMsg, UserOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
-from repro.obs import register_protocol
+from repro.obs import EventRecord, register_protocol
 
-__all__ = ["TracePoint", "CallTraceLog", "CallObserver"]
+__all__ = ["CallTraceLog", "CallObserver"]
 
 #: Observation priorities bracketing every real handler.
 _FIRST = -1_000.0
 _LAST = 2_000_000.0
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """One timestamped observation, attributed to the observing node."""
-
-    time: float
-    node: int
-    kind: str
-    detail: Any = None
-
-
 class CallTraceLog:
     """Shared sink for every observer in a deployment.
 
-    Optionally mirrors into an enabled
-    :class:`~repro.obs.recorder.Recorder` (as ``call.point`` event
-    records); pass ``recorder=None`` for the standalone behavior.
+    Optionally hands every record to an enabled
+    :class:`~repro.obs.recorder.Recorder`; pass ``recorder=None`` for
+    the standalone behavior.
     """
 
     def __init__(self, recorder: Any = None) -> None:
-        self._points: Dict[CallKey, List[TracePoint]] = {}
+        self._points: Dict[CallKey, List[EventRecord]] = {}
         self.recorder = (recorder if recorder is not None
                          and getattr(recorder, "enabled", False) else None)
 
-    def record(self, key: CallKey, point: TracePoint) -> None:
+    def record(self, time: float, node: int, kind: str, key: CallKey,
+               detail: Any = None) -> None:
+        point = EventRecord(time, kind, node,
+                            {"key": key, "detail": detail})
         self._points.setdefault(key, []).append(point)
         if self.recorder is not None:
-            self.recorder.record_event(
-                "call.point", node=point.node, time=point.time,
-                key=tuple(key), kind=point.kind, detail=point.detail)
+            self.recorder.add(point)
 
-    def timeline(self, key: CallKey) -> List[TracePoint]:
+    def timeline(self, key: CallKey) -> List[EventRecord]:
         """All observations of one call, in time order."""
         return sorted(self._points.get(key, []),
                       key=lambda p: (p.time, p.node))
@@ -80,7 +71,7 @@ class CallTraceLog:
     def calls(self) -> List[CallKey]:
         return list(self._points)
 
-    def executions(self, key: CallKey) -> List[TracePoint]:
+    def executions(self, key: CallKey) -> List[EventRecord]:
         return [p for p in self.timeline(key) if p.kind == "executed"]
 
     def first_execution_latency(self, key: CallKey) -> Optional[float]:
@@ -97,10 +88,10 @@ class CallTraceLog:
         """A human-readable per-call timeline (used by examples)."""
         lines = [f"call {key}:"]
         for p in self.timeline(key):
+            detail = p.fields["detail"]
             lines.append(f"  {p.time * 1000:9.2f} ms  node {p.node:<4} "
                          f"{p.kind}"
-                         + (f"  {p.detail}" if p.detail is not None
-                            else ""))
+                         + (f"  {detail}" if detail is not None else ""))
         return "\n".join(lines)
 
 
@@ -112,9 +103,10 @@ class CallObserver(GRPCMicroProtocol):
     def __init__(self, log: CallTraceLog):
         super().__init__()
         self.log = log
-        # Issue points waiting for their call id (FIFO: ids are assigned
-        # under the pRPC mutex in the same order the chains entered).
-        self._pending_issues: List[TracePoint] = []
+        # (time, op) of issues waiting for their call id (FIFO: ids are
+        # assigned under the pRPC mutex in the same order the chains
+        # entered).
+        self._pending_issues: List[Tuple[float, Any]] = []
 
     def configure(self) -> None:
         self.register(CALL_FROM_USER, self.on_issue, _FIRST)
@@ -125,8 +117,8 @@ class CallObserver(GRPCMicroProtocol):
 
     # -- helpers ---------------------------------------------------------
 
-    def _point(self, kind: str, detail: Any = None) -> TracePoint:
-        return TracePoint(self.runtime.now(), self.my_id, kind, detail)
+    def _record(self, key: CallKey, kind: str, detail: Any = None) -> None:
+        self.log.record(self.runtime.now(), self.my_id, kind, key, detail)
 
     def _client_key(self, call_id: int) -> CallKey:
         return (self.my_id, self.grpc.inc_number, call_id)
@@ -136,18 +128,18 @@ class CallObserver(GRPCMicroProtocol):
     async def on_issue(self, umsg: UserMsg) -> None:
         if umsg.type is UserOp.CALL:
             # The id is not assigned yet; on_recorded matches it up.
-            self._pending_issues.append(self._point("issued", umsg.op))
+            self._pending_issues.append((self.runtime.now(), umsg.op))
 
     async def on_recorded(self, call_id: int) -> None:
         if self._pending_issues:
-            self.log.record(self._client_key(call_id),
-                            self._pending_issues.pop(0))
+            time, op = self._pending_issues.pop(0)
+            self.log.record(time, self.my_id, "issued",
+                            self._client_key(call_id), op)
 
     async def on_return(self, umsg: UserMsg) -> None:
         if umsg.type in (UserOp.CALL, UserOp.REQUEST) and umsg.id:
-            self.log.record(self._client_key(umsg.id),
-                            self._point("client-resumed",
-                                        umsg.status.value))
+            self._record(self._client_key(umsg.id), "client-resumed",
+                         umsg.status.value)
 
     async def on_message(self, msg: NetMsg) -> None:
         if msg.type in (NetOp.CALL, NetOp.REPLY, NetOp.ORDER):
@@ -156,14 +148,13 @@ class CallObserver(GRPCMicroProtocol):
             else:
                 key = (msg.client if msg.type is NetOp.ORDER
                        else self.my_id, msg.inc, msg.id)
-            self.log.record(key,
-                            self._point(f"received-{msg.type.value}",
-                                        f"from {msg.sender}"))
+            self._record(key, f"received-{msg.type.value}",
+                         f"from {msg.sender}")
 
     async def on_executed(self, key: CallKey) -> None:
         record = self.grpc.sRPC.get(key)
         detail = record.op if record is not None else None
-        self.log.record(key, self._point("executed", detail))
+        self._record(key, "executed", detail)
 
 
 register_protocol(CallObserver.protocol_name)

@@ -3,7 +3,7 @@
 from repro.net.fabric import LinkSpec, NetworkFabric
 from repro.net.message import Envelope, Group, ProcessId, wire_size
 from repro.net.node import Node
-from repro.net.trace import NetTrace, TraceEvent
+from repro.net.trace import NetTrace
 from repro.net.transport import UnreliableTransport
 from repro.net.wire import WireBatch, WireConfig, WirePipeline
 
@@ -15,7 +15,6 @@ __all__ = [
     "ProcessId",
     "Node",
     "NetTrace",
-    "TraceEvent",
     "UnreliableTransport",
     "WireBatch",
     "WireConfig",

@@ -13,38 +13,28 @@ the observability layer); read one with :meth:`NetTrace.count` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import EventRecord
 
-__all__ = ["TraceEvent", "NetTrace"]
+__all__ = ["NetTrace"]
 
 #: Registry namespace for the fabric's per-kind counters.
 NET_PREFIX = "net."
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped fabric event.
+class NetTrace:
+    """Per-kind counters and, optionally, the fabric's event log.
 
-    ``kind`` is one of ``send``, ``deliver``, ``drop-loss``,
+    Each logged event is an :class:`~repro.obs.recorder.EventRecord`
+    whose ``kind`` is one of ``send``, ``deliver``, ``drop-loss``,
     ``drop-partition``, ``drop-filter``, ``drop-dead``,
     ``drop-src-down`` (buffered by the wire pipeline when the sending
     site crashed before its coalescing flush), ``duplicate``, ``crash``,
-    ``recover``.  Batched envelopes account one record per *inner*
-    message for every kind.
-    """
-
-    time: float
-    kind: str
-    src: int
-    dst: int
-    detail: Any = None
-
-
-class NetTrace:
-    """Accumulates :class:`TraceEvent` records and per-kind counters.
+    ``recover``; ``node`` is the source and ``fields`` hold ``dst`` and
+    ``detail`` (the payload, or the incarnation of a recovery).  Batched
+    envelopes account one record per *inner* message for every kind.
 
     Recording the full event list can be disabled (counters only) for the
     large benchmark runs via ``keep_events=False``.  Pass the deployment's
@@ -55,10 +45,10 @@ class NetTrace:
     def __init__(self, keep_events: bool = True,
                  metrics: Optional[MetricsRegistry] = None):
         self.keep_events = keep_events
-        self.events: List[TraceEvent] = []
+        self.events: List[EventRecord] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Optional live observers, e.g. a test asserting on the fly.
-        self.observers: List[Callable[[TraceEvent], None]] = []
+        self.observers: List[Callable[[EventRecord], None]] = []
         # Per-kind counter objects, resolved once: Counter instances are
         # stable across registry resets (reset zeroes them in place), so
         # the hot path skips the name concatenation and registry lookup.
@@ -75,7 +65,7 @@ class NetTrace:
             # Counters-only mode (the big benchmark runs): no event
             # object is materialized at all.
             return
-        event = TraceEvent(time, kind, src, dst, detail)
+        event = EventRecord(time, kind, src, {"dst": dst, "detail": detail})
         if self.keep_events:
             self.events.append(event)
         for observer in self.observers:
@@ -102,16 +92,6 @@ class NetTrace:
     @property
     def duplicates(self) -> int:
         return self.count("duplicate")
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def between(self, src: Optional[int] = None, dst: Optional[int] = None
-                ) -> List[TraceEvent]:
-        """Events filtered by endpoint(s)."""
-        return [e for e in self.events
-                if (src is None or e.src == src)
-                and (dst is None or e.dst == dst)]
 
     def clear(self) -> None:
         self.events.clear()

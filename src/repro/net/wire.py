@@ -95,13 +95,6 @@ class WireConfig:
     #: Record per-link delivery counters and latency histograms
     #: (``net.link.*``); off by default to keep big runs lean.
     link_metrics: bool = False
-    #: Adapt the batch caps at runtime from the observed ``net.batch.*``
-    #: / ``net.queue.*`` metrics (see :meth:`WirePipeline._tune_tick`).
-    #: Off by default: the static config stays the reference behaviour.
-    #: Only meaningful together with ``batch=True``.
-    auto_tune: bool = False
-    #: Virtual-time spacing of auto-tune adjustments.
-    tune_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_batch_msgs < 1:
@@ -110,8 +103,6 @@ class WireConfig:
             raise ValueError("max_batch_bytes must be >= 1")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-        if self.tune_interval <= 0:
-            raise ValueError("tune_interval must be > 0")
 
 
 class WireBatch:
@@ -202,10 +193,9 @@ class WirePipeline:
         self._passthrough = not self.batch and self.queue_depth == 0
         self._links: Dict[Tuple[ProcessId, ProcessId], _Link] = {}
         #: The observatory's flight recorder, or None.  Attached by
-        #: :class:`repro.obs.observatory.Observatory`; records the first
-        #: fast-lane activation per link and every backpressure stall.
+        #: :class:`repro.obs.observatory.Observatory`; records every
+        #: backpressure stall.
         self.flight: Any = None
-        self._fastlane_noted: set = set()
         # Hot-path counters resolved once (Counter objects are stable
         # across registry resets).
         self._ctr_fastlane = self.metrics.counter("net.fastlane.sends")
@@ -219,14 +209,6 @@ class WirePipeline:
         # delivery doesn't rebuild the instrument names each time.
         self._delivery_instruments: Dict[Tuple[ProcessId, ProcessId],
                                          tuple] = {}
-        # Auto-tune state: the tick timer is armed lazily by traffic and
-        # disarms itself when the link goes quiet, so an idle deployment
-        # schedules no timers (run_until_idle still terminates).
-        self.auto_tune = self.config.auto_tune and self.batch
-        self.tune_interval = self.config.tune_interval
-        self._tune_armed = False
-        self._tune_last: Dict[str, float] = {}
-        self.tune_adjustments = 0
 
     # ------------------------------------------------------------------
     # Sending
@@ -244,11 +226,6 @@ class WirePipeline:
             # Control fast lane: no coalescing, no budget — a failure
             # detector's beats must not queue behind bulk payloads.
             self._ctr_fastlane.inc()
-            if (self.flight is not None
-                    and (src, dst) not in self._fastlane_noted):
-                self._fastlane_noted.add((src, dst))
-                self.flight.note("fastlane", src=src, dst=dst,
-                                 payload=type(payload).__name__)
             self.fabric.send(src, dst, payload)
             return
         if self._passthrough:
@@ -282,9 +259,6 @@ class WirePipeline:
             # drains), next loop iteration on asyncio.
             self.runtime.call_later(0.0,
                                     lambda: self._round_flush(link))
-        if self.auto_tune and not self._tune_armed:
-            self._tune_armed = True
-            self.runtime.call_later(self.tune_interval, self._tune_tick)
 
     async def multicast(self, src: ProcessId, dests: Iterable[ProcessId],
                         payload: Any) -> None:
@@ -314,7 +288,7 @@ class WirePipeline:
     def _round_flush(self, link: _Link) -> None:
         link.flush_pending = False
         if link.buffer:
-            self.metrics.counter("net.batch.flush.round").inc()
+            self._ctr_flush_round.inc()
             self._flush(link)
 
     def _flush(self, link: _Link) -> None:
@@ -341,74 +315,6 @@ class WirePipeline:
         link.flush_hist.observe(n)
         self.fabric.send(link.src, link.dst, payload,
                          resolve=self._resolver(link, n))
-
-    # ------------------------------------------------------------------
-    # Batch-cap auto-tuning
-    # ------------------------------------------------------------------
-
-    #: Hard bounds the tuner never leaves, whatever the load looks like.
-    TUNE_MIN_MSGS = 2
-    TUNE_MAX_MSGS = 256
-    TUNE_MIN_BYTES = 512
-    TUNE_MAX_BYTES = 1 << 16
-
-    def _tune_tick(self) -> None:
-        """One deterministic adjustment of the live batch caps.
-
-        Driven entirely by virtual time and the deployment's own
-        ``net.batch.*`` / ``net.queue.*`` counters — no wall clock, no
-        randomness — so a seeded run tunes identically every time.  The
-        policy reads the interval's deltas:
-
-        * cap-flush dominated (or senders hit backpressure): the caps
-          are throttling an offered load that could coalesce further —
-          double both caps;
-        * round-flush dominated with batches far below the message cap:
-          the caps are oversized for the traffic — halve them toward
-          the observed occupancy;
-
-        always staying inside ``TUNE_MIN/MAX``.  The static
-        :class:`WireConfig` is never mutated; the live caps are the
-        pipeline's own unpacked attributes, and ``config`` remains the
-        reference the pipeline was built from.
-        """
-        self._tune_armed = False
-        cap = self._ctr_flush_cap.value
-        rnd = self._ctr_flush_round.value
-        msgs = self._ctr_batch_msgs.value
-        waits = self._ctr_waits.value
-        last = self._tune_last
-        d_cap = cap - last.get("cap", 0)
-        d_rnd = rnd - last.get("rnd", 0)
-        d_msgs = msgs - last.get("msgs", 0)
-        d_waits = waits - last.get("waits", 0)
-        self._tune_last = {"cap": cap, "rnd": rnd, "msgs": msgs,
-                           "waits": waits}
-        flushes = d_cap + d_rnd
-        if not flushes:
-            return
-        occupancy = d_msgs / flushes
-        if d_cap > d_rnd or d_waits > 0:
-            new_msgs = min(self.TUNE_MAX_MSGS, self.max_batch_msgs * 2)
-            new_bytes = min(self.TUNE_MAX_BYTES, self.max_batch_bytes * 2)
-        elif occupancy * 4 <= self.max_batch_msgs:
-            new_msgs = max(self.TUNE_MIN_MSGS, self.max_batch_msgs // 2)
-            new_bytes = max(self.TUNE_MIN_BYTES, self.max_batch_bytes // 2)
-        else:
-            return
-        if (new_msgs, new_bytes) == (self.max_batch_msgs,
-                                     self.max_batch_bytes):
-            return
-        self.max_batch_msgs = new_msgs
-        self.max_batch_bytes = new_bytes
-        self.tune_adjustments += 1
-        self.metrics.counter("net.batch.tune.adjust").inc()
-        self.metrics.gauge("net.batch.tuned.msgs").set(new_msgs)
-        self.metrics.gauge("net.batch.tuned.bytes").set(new_bytes)
-        if self.flight is not None:
-            self.flight.note("wire-tune", max_batch_msgs=new_msgs,
-                             max_batch_bytes=new_bytes,
-                             occupancy=round(occupancy, 2))
 
     def drop_source(self, pid: ProcessId) -> int:
         """Discard every message ``pid`` still has buffered (it crashed).

@@ -3,9 +3,11 @@
 Three consumers of one :class:`~repro.obs.recorder.Recorder`:
 
 * :func:`to_jsonl` — the machine format.  One JSON object per line,
-  discriminated by ``"t"``: ``span`` lines, ``event`` lines (dispatch
-  records), and ``metric`` lines (the registry snapshot).  This is what
-  ``python -m repro trace <config>`` emits.
+  discriminated by ``"t"``: ``span`` lines, ``event`` lines (one per
+  :class:`~repro.obs.recorder.EventRecord`, rendered by
+  :func:`~repro.obs.recorder.render_record`), and ``metric`` lines (the
+  registry snapshot).  This is what ``python -m repro trace <config>``
+  emits; :func:`read_jsonl` reads it back.
 * :func:`span_trees` — rebuilds the per-trace call trees from flat
   spans; a span whose parent never materialized (e.g. its message was
   dropped and the sender crashed) becomes an extra root of its trace
@@ -21,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.recorder import EventRecord, Recorder, Span
+from repro.obs.recorder import EventRecord, Recorder, Span, render_record
 
 __all__ = ["to_jsonl", "read_jsonl", "span_trees", "format_flame",
            "SpanNode"]
@@ -33,13 +35,6 @@ def _span_line(span: Span) -> Dict[str, Any]:
             "start": span.start, "end": span.end, "attrs": span.attrs}
 
 
-def _event_line(event: EventRecord) -> Dict[str, Any]:
-    line = {"t": "event", "kind": event.kind, "time": event.time,
-            "node": event.node}
-    line.update(event.fields)
-    return line
-
-
 def to_jsonl(recorder: Recorder, stream: IO[str]) -> int:
     """Serialize the recorder (and its metrics) as JSONL; returns the
     number of lines written."""
@@ -48,7 +43,7 @@ def to_jsonl(recorder: Recorder, stream: IO[str]) -> int:
         stream.write(json.dumps(_span_line(span), default=str) + "\n")
         lines += 1
     for event in recorder.events:
-        stream.write(json.dumps(_event_line(event), default=str) + "\n")
+        stream.write(render_record(event) + "\n")
         lines += 1
     snapshot = recorder.metrics.snapshot()
     for name, value in snapshot["counters"].items():
@@ -67,17 +62,25 @@ def to_jsonl(recorder: Recorder, stream: IO[str]) -> int:
     return lines
 
 
-def read_jsonl(stream: Iterable[str]) -> Dict[str, List[Dict[str, Any]]]:
+def read_jsonl(stream: Iterable[str]) -> Dict[str, List[Any]]:
     """Parse a JSONL trace back into ``{"span": [...], "event": [...],
-    "metric": [...]}`` (round-trip aid for tests and offline tooling)."""
-    out: Dict[str, List[Dict[str, Any]]] = {"span": [], "event": [],
-                                            "metric": []}
+    "metric": [...]}`` (round-trip aid for tests and offline tooling).
+
+    Span and metric lines come back as dicts; event lines come back as
+    :class:`EventRecord` objects, the type they were written from.
+    """
+    out: Dict[str, List[Any]] = {"span": [], "event": [], "metric": []}
     for raw in stream:
         raw = raw.strip()
         if not raw:
             continue
         obj = json.loads(raw)
-        out.setdefault(obj.get("t", "?"), []).append(obj)
+        tag = obj.get("t", "?")
+        if tag == "event":
+            del obj["t"]
+            obj = EventRecord(time=obj.pop("time"), kind=obj.pop("kind"),
+                              node=obj.pop("node"), fields=obj)
+        out.setdefault(tag, []).append(obj)
     return out
 
 

@@ -4,13 +4,15 @@ Traces and metrics answer "how much"; what post-mortems need is "what
 happened *just before* it went wrong", cheaply enough to leave running.
 :class:`FlightRecorder` is a bounded ring buffer of causal control-plane
 events — suspicion flips, rebinds, migration phase transitions,
-backpressure stalls, fast-lane activations — each a ``(seq, virtual
-time, kind, fields)`` tuple.  When the ring fills, the oldest entry is
-overwritten; capacity bounds memory however long the deployment runs.
+backpressure stalls — each an :class:`~repro.obs.recorder.EventRecord`
+kept with its sequence number.  When the ring fills, the oldest entry
+is overwritten; capacity bounds memory however long the deployment
+runs.
 
-Dumps are **deterministic**: :meth:`format_dump` renders only virtual
-times, sequence numbers and sorted fields (no wall clock, no object
-ids), so two seeded runs of the same scenario produce byte-identical
+Dumps are **deterministic**: :meth:`format_dump` renders each entry with
+:func:`~repro.obs.recorder.render_record` — virtual times, sequence
+numbers and sorted fields only (no wall clock, no object ids) — so two
+seeded runs of the same scenario produce byte-identical
 dumps — which is what makes a dump diffable against a known-good run.
 Dumps happen on demand, on an SLO breach (the observatory wires
 :class:`~repro.obs.slo.SloTracker.on_breach` here) and on test failure:
@@ -25,12 +27,11 @@ observatory is disabled.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["FlightRecorder", "FlightEntry", "live_recorders"]
+from repro.obs.recorder import EventRecord, render_record
 
-#: One recorded event: (seq, virtual time, kind, fields).
-FlightEntry = Tuple[int, float, str, Dict[str, Any]]
+__all__ = ["FlightRecorder", "live_recorders"]
 
 #: Every live recorder, so the pytest failure hook can find them
 #: without plumbing; weak so finished deployments do not accumulate.
@@ -52,7 +53,8 @@ class FlightRecorder:
         self.capacity = capacity
         self.clock = clock
         self.metrics = metrics
-        self._ring: List[Optional[FlightEntry]] = [None] * capacity
+        self._ring: List[Optional[Tuple[int, EventRecord]]] = (
+            [None] * capacity)
         self._seq = 0
         #: (reason, rendered dump) pairs, in dump order.
         self.dumps: List[Tuple[str, str]] = []
@@ -70,7 +72,7 @@ class FlightRecorder:
         slot = seq % self.capacity
         if self._ring[slot] is not None:
             self._dropped.inc()
-        self._ring[slot] = (seq, self.clock(), kind, fields)
+        self._ring[slot] = (seq, EventRecord(self.clock(), kind, -1, fields))
         self._seq = seq + 1
         self._notes.inc()
 
@@ -81,8 +83,8 @@ class FlightRecorder:
     def total_noted(self) -> int:
         return self._seq
 
-    def entries(self) -> List[FlightEntry]:
-        """The retained events, oldest first."""
+    def entries(self) -> List[Tuple[int, EventRecord]]:
+        """The retained ``(seq, record)`` pairs, oldest first."""
         if self._seq <= self.capacity:
             return [e for e in self._ring[:self._seq] if e is not None]
         head = self._seq % self.capacity
@@ -94,13 +96,8 @@ class FlightRecorder:
     def format_dump(self) -> str:
         """Deterministic rendering of the retained tape (virtual times,
         sequence numbers and sorted fields only)."""
-        lines = []
-        for seq, time, kind, fields in self.entries():
-            rendered = " ".join(f"{key}={fields[key]!r}"
-                                for key in sorted(fields))
-            lines.append(f"[{seq:>5}] t={time:9.4f}s {kind:<18} "
-                         f"{rendered}".rstrip())
-        return "\n".join(lines)
+        return "\n".join(render_record(record, seq=seq)
+                         for seq, record in self.entries())
 
     def dump(self, reason: str) -> str:
         """Snapshot the tape under ``reason``; returns the rendering."""

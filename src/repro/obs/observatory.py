@@ -9,15 +9,14 @@ the individual instruments — the sampling kernel profiler
 (:mod:`repro.obs.flight`) — are assembled and wired into a running
 :class:`~repro.core.deployment.Deployment`:
 
-* the profiler is attached to the runtime (kernel step hook), captured
-  by every event bus built afterwards, and installed as the stub
-  marshaller's module hook;
+* the profiler is attached to the runtime (kernel step hook) and
+  installed as the stub marshaller's module hook;
 * the load tracker is what :meth:`ShardRouter.attach_load` and the
   placement plane's routed call path feed;
 * the SLO tracker observes every name-resolved call's latency, and its
   breach callback triggers a flight-recorder dump — the tape of
-  suspicion flips, rebinds, migration phases, backpressure stalls and
-  fast-lane activations leading up to the breach;
+  suspicion flips, rebinds, migration phases and backpressure stalls
+  leading up to the breach;
 * membership changes are taped via
   :meth:`Deployment.watch_membership`.
 
@@ -35,6 +34,7 @@ from typing import Any, Dict, List, Optional
 from repro.obs.flight import FlightRecorder
 from repro.obs.loadstats import KeyLoadTracker
 from repro.obs.profiler import KernelProfiler
+from repro.obs.recorder import render_record
 from repro.obs.slo import SloBreach, SloTracker
 
 __all__ = ["Observatory", "ObservatoryConfig"]
@@ -92,10 +92,6 @@ class Observatory:
                                      clock=runtime.now)
         if cfg.dump_on_breach:
             self.slo.on_breach = self._dump_on_breach
-        # Hook installation.  Order matters only for the profiler: it
-        # must be attached before composites (and their event buses) are
-        # built, which Deployment guarantees by constructing the
-        # observatory inside its own __init__.
         runtime.attach_profiler(self.profiler)
         _marshal_module().install_profiler(self.profiler)
         deployment.watch_membership(self._on_membership)
@@ -162,18 +158,13 @@ class Observatory:
         section("kernel profile", self.profiler.report_lines())
         section("per-shard hot keys", self.load.report_lines())
         section("SLO windows", self.slo.report_lines())
-        chain = [entry for entry in self.flight.entries()
-                 if entry[2] in ("view-propose", "coord-takeover",
-                                 "view-commit", "view-rollback",
-                                 "recover-failed")]
+        chain = [render_record(record, seq=seq)
+                 for seq, record in self.flight.entries()
+                 if record.kind in ("view-propose", "coord-takeover",
+                                    "view-commit", "view-rollback",
+                                    "recover-failed")]
         if chain:
-            body = []
-            for seq, time, kind, fields in chain:
-                rendered = " ".join(f"{key}={fields[key]!r}"
-                                    for key in sorted(fields))
-                body.append(f"[{seq:>5}] t={time:9.4f}s {kind:<14} "
-                            f"{rendered}".rstrip())
-            section("placement takeover chain", body)
+            section("placement takeover chain", chain)
         tape = self.flight.format_dump()
         body = tape.split("\n") if tape else ["(empty)"]
         retained = len(self.flight)

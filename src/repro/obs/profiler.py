@@ -1,36 +1,29 @@
-"""The kernel profiler: where do the cycles (and the virtual time) go?
+"""The kernel profiler: where do the cycles go?
 
-The ROADMAP's hot-path speed program needs a baseline before anything
-can be optimised, and "run cProfile by hand" does not compose with the
-simulation: one kernel step interleaves many tasks, and the interesting
-unit of attribution is the *handler site* (micro-protocol owner +
-handler), not the Python frame.  :class:`KernelProfiler` therefore
-profiles at the seams the framework already has:
+"Run cProfile by hand" does not compose with the simulation: one kernel
+step interleaves many tasks, and the unit an operator asks about is the
+task (a heartbeat sender, a migration driver, an arrival), not the
+Python frame.  :class:`KernelProfiler` therefore measures wall clock at
+two seams the system already has:
 
 * **kernel steps** — a sampling hook in :meth:`repro.sim.kernel.Kernel.
   _step`: every ``sample_every``-th step captures ``perf_counter`` and
   the running task's name, and the wall-clock delta between consecutive
   samples is attributed to the earlier sample's task (start-to-start
-  attribution, the classic sampling-profiler scheme).  This is the only
-  wall-clock measurement in the system — everything else is virtual
-  time — because "which task burns real CPU" is exactly what the speed
-  program needs to know;
-* **handler sites** — enter/exit hooks on the event bus's dispatch
-  paths accumulate *virtual-time* self and cumulative totals per
-  ``(owner, handler)`` site, with per-task frame stacks so nested
-  ``trigger`` chains attribute child time to the child.  The same
-  stacks yield collapsed-stack lines (``a;b;c <self>``), the format
-  flamegraph tooling consumes;
+  attribution, the classic sampling-profiler scheme);
 * **the stub marshaller** — :func:`repro.stubs.marshal.install_profiler`
   routes per-call byte counts and wall-clock into :meth:`on_marshal` /
   :meth:`on_unmarshal`, since argument marshalling is the one real-CPU
   cost every call pays twice.
 
+Virtual time per handler is not the profiler's job: with tracing on,
+the recorder folds every handler's virtual-time duration into the
+``handler.<owner>`` histograms.
+
 Zero overhead when disabled: the kernel hook is ``kernel.profile_hook``
-(``None`` by default — one ``is None`` test per step), the bus captures
-``runtime.profiler`` once at construction, and the marshaller checks a
-module global once per call.  ``tests/test_obs_overhead.py`` guards all
-three.
+(``None`` by default — one ``is None`` test per step) and the
+marshaller checks a module global once per call.
+``tests/test_obs_overhead.py`` guards both.
 """
 
 from __future__ import annotations
@@ -38,10 +31,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["KernelProfiler", "HandlerSite", "StepSite"]
-
-#: A handler site: (owning micro-protocol, qualified handler name).
-SiteKey = Tuple[str, str]
+__all__ = ["KernelProfiler", "StepSite"]
 
 
 class StepSite:
@@ -55,27 +45,8 @@ class StepSite:
         self.wall = 0.0
 
 
-class HandlerSite:
-    """Virtual-time accounting for one (owner, handler) site."""
-
-    __slots__ = ("owner", "handler", "calls", "cum", "self_time")
-
-    def __init__(self, owner: str, handler: str):
-        self.owner = owner
-        self.handler = handler
-        self.calls = 0
-        #: Virtual time from enter to exit, children included.
-        self.cum = 0.0
-        #: Virtual time minus the time spent in nested handler sites.
-        self.self_time = 0.0
-
-    @property
-    def label(self) -> str:
-        return f"{self.owner or 'framework'}:{self.handler}"
-
-
 class KernelProfiler:
-    """Sampling profiler over kernel steps, handler sites and the
+    """Wall-clock profiler over sampled kernel steps and the
     marshaller.  One instance per deployment, owned by the observatory.
     """
 
@@ -87,12 +58,6 @@ class KernelProfiler:
         self.steps_seen = 0
         self._pending: Optional[Tuple[str, float]] = None
         self._step_sites: Dict[str, StepSite] = {}
-        # -- handler sites (virtual time) --
-        self._handler_sites: Dict[SiteKey, HandlerSite] = {}
-        #: Per-task stacks of [site_key, child_virtual_time] frames.
-        self._stacks: Dict[int, List[List[Any]]] = {}
-        #: Collapsed stack path -> accumulated self virtual time.
-        self._collapsed: Dict[Tuple[str, ...], float] = {}
         # -- marshaller --
         self.marshal_calls = 0
         self.marshal_bytes = 0
@@ -127,51 +92,6 @@ class KernelProfiler:
                       key=lambda s: (-s.wall, s.name))
 
     # ------------------------------------------------------------------
-    # Handler-site hooks (virtual time, exact)
-    # ------------------------------------------------------------------
-
-    def handler_enter(self, task_key: int, owner: str,
-                      handler: str) -> None:
-        self._stacks.setdefault(task_key, []).append(
-            [(owner, handler), 0.0])
-
-    def handler_exit(self, task_key: int, duration: float) -> None:
-        stack = self._stacks.get(task_key)
-        if not stack:
-            return
-        key, child = stack.pop()
-        site = self._handler_sites.get(key)
-        if site is None:
-            site = self._handler_sites[key] = HandlerSite(*key)
-        self_time = duration - child
-        if self_time < 0.0:
-            self_time = 0.0
-        site.calls += 1
-        site.cum += duration
-        site.self_time += self_time
-        path = tuple(f"{fk[0] or 'framework'}:{fk[1]}"
-                     for fk, _ in stack) + (site.label,)
-        self._collapsed[path] = self._collapsed.get(path, 0.0) + self_time
-        if stack:
-            stack[-1][1] += duration
-        else:
-            del self._stacks[task_key]
-
-    def handler_sites(self) -> List[HandlerSite]:
-        """Handler sites, most cumulative virtual time first."""
-        return sorted(self._handler_sites.values(),
-                      key=lambda s: (-s.cum, s.owner, s.handler))
-
-    def collapsed(self) -> str:
-        """Collapsed-stack export (``a;b;c <microseconds>`` per line),
-        the flamegraph input format.  Self virtual time, scaled to
-        integer microseconds; sorted for determinism."""
-        lines = []
-        for path, self_time in sorted(self._collapsed.items()):
-            lines.append(f"{';'.join(path)} {round(self_time * 1e6)}")
-        return "\n".join(lines)
-
-    # ------------------------------------------------------------------
     # Marshaller hooks (wall clock, exact)
     # ------------------------------------------------------------------
 
@@ -194,9 +114,6 @@ class KernelProfiler:
         gauge = metrics.gauge
         gauge("obs.profile.steps").set(self.steps_seen)
         gauge("obs.profile.step_sites").set(len(self._step_sites))
-        gauge("obs.profile.handler_sites").set(len(self._handler_sites))
-        gauge("obs.profile.handler_virtual").set(
-            sum(s.self_time for s in self._handler_sites.values()))
         gauge("obs.profile.marshal.calls").set(self.marshal_calls)
         gauge("obs.profile.marshal.bytes").set(self.marshal_bytes)
         gauge("obs.profile.marshal.wall").set(self.marshal_wall)
@@ -208,17 +125,6 @@ class KernelProfiler:
         """The profiler section of the deployment health report."""
         lines = [f"kernel steps seen: {self.steps_seen} "
                  f"(sampling 1/{self.sample_every})"]
-        sites = self.handler_sites()
-        if sites:
-            lines.append(f"top handler sites by virtual time "
-                         f"(of {len(sites)}):")
-            for site in sites[:top]:
-                lines.append(
-                    f"  {site.label:<46} calls={site.calls:<6} "
-                    f"self={site.self_time * 1000:8.2f}ms "
-                    f"cum={site.cum * 1000:8.2f}ms")
-        else:
-            lines.append("no handler sites recorded")
         steps = self.step_sites()
         if steps:
             lines.append("top tasks by sampled wall clock:")

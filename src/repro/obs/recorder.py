@@ -18,6 +18,13 @@ of data:
   ``handler.<micro>``, which is what decomposes composition overhead
   per micro-protocol.
 
+:class:`EventRecord` is the one record type of the whole observation
+layer: the fabric trace (:class:`~repro.net.trace.NetTrace`), the Call
+Observer's :class:`~repro.core.microprotocols.observer.CallTraceLog` and
+the flight tape (:class:`~repro.obs.flight.FlightRecorder`) all hold
+them, and :func:`render_record` is the one function that turns a record
+into a line — the tape's text line or the JSONL ``event`` line.
+
 Zero overhead when disabled
 ---------------------------
 
@@ -36,12 +43,14 @@ network arrival) cannot cross wires.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["CTX_KEY", "SpanContext", "Span", "EventRecord", "Recorder"]
+__all__ = ["CTX_KEY", "SpanContext", "Span", "EventRecord",
+           "render_record", "Recorder"]
 
 #: Annotation key under which span context travels inside wire messages.
 CTX_KEY = "obs.ctx"
@@ -74,12 +83,38 @@ class Span:
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One structured observation outside the span tree proper."""
+    """One structured observation outside the span tree proper.
+
+    ``node`` is the observing (or, for a fabric record, the sending)
+    process id, -1 when no node applies; everything else the producer
+    knows goes into ``fields``.
+    """
 
     time: float
     kind: str
     node: int
     fields: Dict[str, Any]
+
+
+def render_record(record: EventRecord, seq: Optional[int] = None) -> str:
+    """One line for one record.
+
+    With the tape's sequence number ``seq`` it is the flight tape's
+    deterministic text line: sequence number, virtual time, kind and the
+    fields in key order, so two seeded runs render byte-identically.
+    Without it, it is the exporter's JSONL ``event`` line: one JSON
+    object with ``t``, ``kind``, ``time`` and ``node`` and the fields
+    merged in (values JSON cannot hold are written as ``str``).
+    """
+    if seq is None:
+        line = {"t": "event", "kind": record.kind, "time": record.time,
+                "node": record.node}
+        line.update(record.fields)
+        return json.dumps(line, default=str)
+    fields = record.fields
+    rendered = " ".join(f"{key}={fields[key]!r}" for key in sorted(fields))
+    return (f"[{seq:>5}] t={record.time:9.4f}s {record.kind:<18} "
+            f"{rendered}").rstrip()
 
 
 def _no_task() -> Optional[int]:
@@ -212,6 +247,11 @@ class Recorder:
         self.events.append(EventRecord(
             time=self.now() if time is None else time,
             kind=kind, node=node, fields=fields))
+
+    def add(self, record: EventRecord) -> None:
+        """Keep a record another producer already made (no copy)."""
+        if self.enabled:
+            self.events.append(record)
 
     def record_handler(self, event: str, owner: str, handler: str,
                        priority: float, start: float, end: float, *,

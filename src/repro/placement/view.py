@@ -10,18 +10,15 @@ replicated object:
   key placement: the ring generation (shard set + vnodes + seed, enough
   to rebuild the exact :class:`~repro.placement.ring.HashRing`), the
   shard->replica-group bindings, the active move set of the migration in
-  progress, and the dead-shard set.  Views form a **join-semilattice**:
-  :meth:`PlacementView.join` is idempotent, commutative and associative,
-  with a higher epoch dominating outright and equal epochs merging
-  componentwise — the shape Reconfigurable Lattice Agreement shows is
-  sufficient to reconfigure metadata without full consensus.
+  progress, and the dead-shard set.
 
 * :class:`ViewManager` — one per deployment (``deployment.views``).  It
   holds the current view, **persists every epoch and the in-flight
   migration plan to the stable store of every coordinator candidate**
-  (writes are fanned out; reads join whatever replicas still answer,
-  including the disks of dead nodes — the simulation's stand-in for
-  mounting a failed site's storage).  Coordinator election reads the
+  (writes are fanned out; recovery reads whatever replicas still
+  answer, including the disks of dead nodes — the simulation's stand-in
+  for mounting a failed site's storage — and resumes from the most
+  advanced plan copy).  Coordinator election reads the
   deployment's one suspicion set (``deployment.suspected``), which the
   manager keeps tracked from the moment it is installed.
 
@@ -37,7 +34,7 @@ zero messages — so enabling views does not perturb seeded workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import CallResult, Status
 from repro.errors import ViewError
@@ -116,33 +113,6 @@ class PlacementView:
             changes["shards"] = tuple(sorted(set(changes["shards"])))
         return replace(self, **changes)
 
-    # -- the lattice -----------------------------------------------------
-
-    def join(self, other: "PlacementView") -> "PlacementView":
-        """Least upper bound of two views.
-
-        A strictly higher epoch dominates outright (later generations
-        supersede earlier ones — epoch bumps happen only at migration
-        commit, under the plane's migration lock, so same-epoch views
-        differ at most in the merged components).  Equal epochs merge
-        componentwise: shard/dead/move unions, per-shard binding unions,
-        max of the ring parameters.  Idempotent, commutative,
-        associative — the property tests hold the proof.
-        """
-        if other.epoch != self.epoch:
-            return other if other.epoch > self.epoch else self
-        merged: Dict[str, Set[int]] = {}
-        for name, pids in self.bindings + other.bindings:
-            merged.setdefault(name, set()).update(pids)
-        return PlacementView(
-            epoch=self.epoch,
-            shards=tuple(sorted(set(self.shards) | set(other.shards))),
-            vnodes=max(self.vnodes, other.vnodes),
-            seed=max(self.seed, other.seed),
-            bindings=_norm_bindings(merged),
-            moves=tuple(sorted(set(self.moves) | set(other.moves))),
-            dead=tuple(sorted(set(self.dead) | set(other.dead))))
-
     # -- routing ---------------------------------------------------------
 
     def ring(self) -> HashRing:
@@ -192,8 +162,8 @@ class ViewManager:
     creates it automatically.  ``replicas`` — the coordinator-candidate
     pids — name the nodes whose stable stores hold the metadata; every
     persist fans out to all of them that are up, every recovery read
-    joins all of them that are readable (a dead replica's store is still
-    readable: stable storage is the disk, and salvage mounts it).
+    consults all of them that are readable (a dead replica's store is
+    still readable: stable storage is the disk, and salvage mounts it).
     """
 
     def __init__(self, deployment: Any):
@@ -249,10 +219,9 @@ class ViewManager:
         assembly via ``adopt``, move-set bookkeeping): persisted, no
         tape.
 
-        Local sequential updates replace rather than join — the lattice
-        merge is for reconciling divergent *replica copies* at recovery,
-        where only unions are safe; the plane's own updates are ordered
-        by the migration lock and may retract (clear the move set).
+        The plane's own updates are ordered by the migration lock and
+        may retract (clear the move set), so a new view replaces the
+        current one outright.
         """
         if view.epoch < self.current.epoch:
             raise ViewError(
@@ -277,15 +246,6 @@ class ViewManager:
             self._flight.note("view-commit", epoch=self.current.epoch,
                               shards=list(self.current.shards),
                               reason=reason)
-
-    def recover_view(self) -> PlacementView:
-        """Join every replica's persisted current view (dead replicas
-        included — their stable store is the disk we mount)."""
-        joined = self.current
-        for blob in self._read_all(CURRENT_CELL):
-            joined = joined.join(PlacementView.from_blob(blob))
-            self.metrics.counter("placement.view.joins").inc()
-        return joined
 
     # ------------------------------------------------------------------
     # The migration plan (presence == migration in flight)
@@ -387,8 +347,8 @@ class ViewManager:
                 node.stable.delete(cell)
 
     def _read_all(self, cell: str) -> List[Any]:
-        """Every replica's copy of a cell, live nodes first (the order
-        recovery joins them in is deterministic)."""
+        """Every replica's copy of a cell, live nodes first (so the
+        order recovery reads them in is deterministic)."""
         live, dead = [], []
         for node in self._replica_nodes(live_only=False):
             value = node.stable.get(cell, None)

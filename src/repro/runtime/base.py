@@ -55,10 +55,7 @@ class Runtime(abc.ABC):
     def attach_profiler(self, profiler: Any) -> None:
         """Install a :class:`~repro.obs.profiler.KernelProfiler`.
 
-        Same contract as :meth:`attach_obs`: event buses capture
-        ``runtime.profiler`` once at construction, so attach before
-        building protocol stacks.  Concrete runtimes additionally hook
-        their scheduler's step path.
+        Concrete runtimes hook their scheduler's step path.
         """
         self._profiler = profiler
 

@@ -77,3 +77,27 @@ def test_no_command_prints_help(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_report_takeover_chain_lines_are_tape_lines(capsys):
+    assert main(["report", "sharded-kv"]) == 0
+    out = capsys.readouterr().out
+    sections = {}
+    title = None
+    for line in out.splitlines():
+        if line.startswith("── "):
+            title = line[3:].split(" ─", 1)[0]
+            sections[title] = []
+        elif title is not None and line.strip():
+            sections[title].append(line)
+    chain = sections["placement takeover chain"]
+    (tape_title,) = [t for t in sections if t.startswith("flight recorder")]
+    tape = sections[tape_title]
+    kinds = ("view-propose", "coord-takeover", "view-commit")
+    assert [kind for line in chain for kind in kinds
+            if f" {kind} " in line] == list(kinds)
+    # One renderer: each chain line is the tape's line for that entry.
+    for line in chain:
+        assert line in tape
+    # Per-link fast-lane activations are counted, not taped.
+    assert not any(" fastlane " in line for line in tape)

@@ -21,12 +21,12 @@ def count_wire(cluster, kind: NetOp, src=None, dst=None) -> int:
     for event in cluster.trace.events:
         if event.kind != "send":
             continue
-        msg = event.detail
+        msg = event.fields["detail"]
         if getattr(msg, "type", None) is not kind:
             continue
-        if src is not None and event.src != src:
+        if src is not None and event.node != src:
             continue
-        if dst is not None and event.dst != dst:
+        if dst is not None and event.fields["dst"] != dst:
             continue
         total += 1
     return total

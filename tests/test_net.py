@@ -327,7 +327,7 @@ def test_per_link_override_and_slow_site():
 
     def observe(e):
         if e.kind == "deliver":
-            times[e.dst] = e.time
+            times[e.fields["dst"]] = e.time
     fabric.trace.observers.append(observe)
 
     async def main():

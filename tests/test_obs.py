@@ -12,9 +12,10 @@ import json
 
 import pytest
 
-from repro import LinkSpec, ServiceCluster, ServiceSpec
+from repro import Deployment, LinkSpec, ServiceCluster, ServiceSpec
 from repro.apps import KVStore
 from repro.obs import (
+    EventRecord,
     MetricsRegistry,
     Recorder,
     format_flame,
@@ -170,6 +171,40 @@ def test_jsonl_roundtrip_reconstructs_the_tree(traced):
     assert parsed["metric"]  # counters rode along
 
 
+def test_every_producer_round_trips_through_jsonl():
+    """The fabric trace, the recorder, the call log and the flight tape
+    all make :class:`EventRecord` objects, and the one exporter writes and
+    reads back each as the same ``(time, kind, node, fields)``."""
+    dep = Deployment(seed=5, membership="oracle", keep_trace=True,
+                     obs=True, observatory=True)
+    dep.add_service("kv", ServiceSpec(), KVStore, servers=2, observe=True)
+    assert dep.call_and_run("kv", "put", {"key": "k", "value": 1}).ok
+    dep.crash(2)                                  # tapes a suspicion
+    log = dep.services["kv"].call_log
+    produced = {
+        "fabric": dep.fabric.trace.events[0],
+        "recorder": next(e for e in dep.obs.events if e.kind == "handler"),
+        "call log": log.timeline(log.calls()[0])[0],
+        "flight": dep.flight.entries()[-1][1],
+    }
+    # The call log hands the recorder its own records, not copies.
+    assert any(e is produced["call log"] for e in dep.obs.events)
+    sink = Recorder()
+    for record in produced.values():
+        assert type(record) is EventRecord
+        sink.add(record)
+    buf = io.StringIO()
+    to_jsonl(sink, buf)
+    back = read_jsonl(io.StringIO(buf.getvalue()))["event"]
+    assert len(back) == len(produced)
+    for record, read in zip(produced.values(), back):
+        # JSON keeps tuples as lists and payload objects as their str.
+        fields = json.loads(json.dumps(record.fields, default=str))
+        assert (read.time, read.kind, read.node, read.fields) == (
+            record.time, record.kind, record.node, fields)
+    dep.shutdown()
+
+
 def test_flame_summary_names_the_call_chain(traced):
     cluster, _ = traced
     flame = cluster.format_flame()
@@ -210,7 +245,7 @@ def test_disabled_recorder_emits_nothing():
     assert cluster.metrics.counter_names("handler.") == []
     # No span context leaked onto the wire.
     for event in cluster.trace.events:
-        msg = event.detail
+        msg = event.fields["detail"]
         if hasattr(msg, "trace_ctx"):
             assert msg.trace_ctx() is None
 

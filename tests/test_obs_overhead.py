@@ -120,7 +120,7 @@ def test_observatory_hooks_absent_by_default():
     marshal = importlib.import_module("repro.stubs.marshal")
     assert marshal._PROFILER is None
     bus = EventBus(deployment.runtime)
-    assert bus._obs is None and bus._prof is None
+    assert bus._obs is None
     deployment.shutdown()
 
 

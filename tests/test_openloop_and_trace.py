@@ -76,10 +76,11 @@ def test_trace_accessors_and_counters_only_mode():
     trace = fabric.trace
     assert trace.sends == 2
     assert trace.deliveries == 2
-    assert len(trace.of_kind("send")) == 2
-    assert [e.detail for e in trace.between(src=1)] == ["a", "a"]
-    assert [e.detail for e in trace.between(dst=1) if
-            e.kind == "deliver"] == ["b"]
+    assert len([e for e in trace.events if e.kind == "send"]) == 2
+    assert [e.fields["detail"] for e in trace.events
+            if e.node == 1] == ["a", "a"]
+    assert [e.fields["detail"] for e in trace.events
+            if e.fields["dst"] == 1 and e.kind == "deliver"] == ["b"]
 
     trace.clear()
     assert trace.sends == 0 and trace.events == []

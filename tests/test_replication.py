@@ -293,8 +293,8 @@ def test_promotion_is_deterministic_and_taped():
     dep.crash(pids[-2])
     assert group.primary == pids[-3]
     assert dep.metrics.value("repl.promotions") == 2
-    tape = [fields for (_seq, _t, kind, fields) in dep.flight.entries()
-            if kind == "repl-promote"]
+    tape = [record.fields for _seq, record in dep.flight.entries()
+            if record.kind == "repl-promote"]
     assert [fields["primary"] for fields in tape] == \
         [pids[-2], pids[-3]]
 

@@ -45,7 +45,7 @@ def test_star_blocks_spoke_to_spoke():
     star(fabric, hub=1, spokes=[2, 3])
     sent = []
     fabric.trace.observers.append(
-        lambda e: sent.append((e.kind, e.src, e.dst)))
+        lambda e: sent.append((e.kind, e.node, e.fields["dst"])))
     fabric.send(2, 1, "to-hub")
     fabric.send(2, 3, "to-spoke")
     rt.kernel.run_until(1.0)

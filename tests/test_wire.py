@@ -440,89 +440,3 @@ def test_asyncio_runtime_drives_the_same_pipeline():
 
     asyncio.run(main())
 
-
-# ----------------------------------------------------------------------
-# Batch-cap auto-tuning
-# ----------------------------------------------------------------------
-
-def test_auto_tune_defaults_off_and_validates():
-    assert WireConfig().auto_tune is False
-    rt = SimRuntime()
-    fabric, _, _ = build_pair(rt, wire=WireConfig(batch=True))
-    assert fabric.pipeline.auto_tune is False
-    with pytest.raises(ValueError):
-        WireConfig(tune_interval=0.0)
-
-
-def test_auto_tune_grows_caps_under_cap_flush_load():
-    rt = SimRuntime()
-    fabric, nodes, tops = build_pair(
-        rt, wire=WireConfig(batch=True, max_batch_msgs=4,
-                            auto_tune=True, tune_interval=0.05))
-    pipeline = fabric.pipeline
-
-    async def main():
-        # Sustained bursts well past the message cap: every flush is a
-        # cap flush, so each tune tick should double the caps.
-        for _ in range(40):
-            for i in range(16):
-                await nodes[1].transport.push(2, i)
-            await rt.sleep(0.02)
-        await rt.sleep(1.0)
-
-    rt.run(main())
-    assert pipeline.max_batch_msgs > 4
-    assert pipeline.tune_adjustments >= 1
-    metrics = fabric.trace.metrics
-    assert metrics.value("net.batch.tune.adjust") >= 1
-    assert metrics.gauge("net.batch.tuned.msgs").value == \
-        pipeline.max_batch_msgs
-    # Everything still arrived exactly once.
-    assert len(tops[2].received) == 40 * 16
-
-
-def test_auto_tune_shrinks_oversized_caps():
-    rt = SimRuntime()
-    fabric, nodes, tops = build_pair(
-        rt, wire=WireConfig(batch=True, max_batch_msgs=128,
-                            max_batch_bytes=1 << 16,
-                            auto_tune=True, tune_interval=0.05))
-    pipeline = fabric.pipeline
-
-    async def main():
-        # A trickle: one or two messages per round, far below the cap.
-        for _ in range(60):
-            await nodes[1].transport.push(2, "tick")
-            await rt.sleep(0.01)
-        await rt.sleep(1.0)
-
-    rt.run(main())
-    assert pipeline.max_batch_msgs < 128
-    assert pipeline.max_batch_msgs >= pipeline.TUNE_MIN_MSGS
-    assert len(tops[2].received) == 60
-
-
-def test_auto_tune_is_deterministic_and_idles_quietly():
-    def run_once():
-        rt = SimRuntime()
-        fabric, nodes, tops = build_pair(
-            rt, wire=WireConfig(batch=True, max_batch_msgs=4,
-                                auto_tune=True, tune_interval=0.05))
-
-        async def main():
-            for _ in range(10):
-                for i in range(12):
-                    await nodes[1].transport.push(2, i)
-                await rt.sleep(0.02)
-            await rt.sleep(1.0)
-
-        rt.run(main())
-        # The tick timer rearms only on traffic: once the run drains,
-        # the kernel has no pending tune timers and idles out.
-        rt.run_until_idle()
-        return (fabric.pipeline.max_batch_msgs,
-                fabric.pipeline.max_batch_bytes,
-                fabric.pipeline.tune_adjustments,
-                [p for _, p in tops[2].received])
-
-    assert run_once() == run_once()
